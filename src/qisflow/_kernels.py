@@ -1,88 +1,73 @@
-"""Hot integration kernels.
+"""Hot integration kernels: one fixed-step RK4 loop shared by both flows.
 
-Compiled with numba when available; setting QISFLOW_PURE_NUMPY=1 selects the
-pure-numpy fallback (the same source, undecorated).  Step status codes:
-0 = completed all steps, 1 = boundary floor crossed, 2 = non-finite values.
+Step status codes: 0 = completed all steps, 1 = boundary floor crossed,
+2 = non-finite values, 3 = a step left the domain (lowest eigenvalue or
+coordinate <= 0 after renormalization; the last good state is returned).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .gradient import _grad_K
+from .simplex import _grad_kappa
 
 STATUS_OK = 0
 STATUS_BOUNDARY = 1
 STATUS_NONFINITE = 2
+STATUS_LEFT_DOMAIN = 3
 
-_USE_NUMBA = os.environ.get("QISFLOW_PURE_NUMPY", "0") != "1"
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-BACKEND = "numba" if _USE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-def _maybe_jit(fn):
-    if _USE_NUMBA:
-        return njit(cache=True)(fn)
-    return fn
-
-
-@_maybe_jit
 def simplex_rhs(x, c):
-    cx2 = c * x * x
-    return -cx2 + x * np.sum(cx2)
+    return -_grad_kappa(x, c)
 
 
-@_maybe_jit
 def matrix_rhs(rho, c):
-    r2 = rho @ rho
-    rcr = rho @ (c.reshape(-1, 1) * rho)
-    tr = np.trace(rcr).real
-    grad = 0.25 * (r2 * c + 2.0 * rcr + c.reshape(-1, 1) * r2) - tr * rho
-    return -grad
+    return -_grad_K(rho, c)
 
 
-@_maybe_jit
+def _simplex_project(x):
+    return x, np.sum(x)
+
+
+def _matrix_project(rho):
+    rho = 0.5 * (rho + np.conj(rho.T))
+    return rho, np.trace(rho).real
+
+
+def _matrix_lowest(rho):
+    return np.linalg.eigvalsh(rho)[0]
+
+
+def _advance(y, c, h, nsteps, floor, rhs, lowest, project):
+    """RK4 steps of dy/dt = rhs(y, c); each step is projected to (part, norm)
+    and renormalized, then checked against the domain and the floor."""
+    for i in range(nsteps):
+        k1 = rhs(y, c)
+        k2 = rhs(y + 0.5 * h * k1, c)
+        k3 = rhs(y + 0.5 * h * k2, c)
+        k4 = rhs(y + h * k3, c)
+        yn = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(yn).all():
+            return y, i, STATUS_NONFINITE
+        yn, norm = project(yn)
+        if norm <= 0.0:
+            return y, i, STATUS_NONFINITE
+        yn = yn / norm
+        low = lowest(yn)
+        if low <= 0.0:
+            return y, i, STATUS_LEFT_DOMAIN
+        if low < floor:
+            return yn, i + 1, STATUS_BOUNDARY
+        y = yn
+    return y, nsteps, STATUS_OK
+
+
 def advance_simplex(x, c, h, nsteps, floor):
-    for i in range(nsteps):
-        k1 = simplex_rhs(x, c)
-        k2 = simplex_rhs(x + 0.5 * h * k1, c)
-        k3 = simplex_rhs(x + 0.5 * h * k2, c)
-        k4 = simplex_rhs(x + h * k3, c)
-        xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(xn).all():
-            return x, i, STATUS_NONFINITE
-        s = np.sum(xn)
-        if s <= 0.0:
-            return x, i, STATUS_NONFINITE
-        xn = xn / s
-        if np.min(xn) < floor:
-            return xn, i + 1, STATUS_BOUNDARY
-        x = xn
-    return x, nsteps, STATUS_OK
+    return _advance(x, c, h, nsteps, floor, simplex_rhs, np.min, _simplex_project)
 
 
-@_maybe_jit
 def advance_matrix(rho, c, h, nsteps, floor):
-    for i in range(nsteps):
-        k1 = matrix_rhs(rho, c)
-        k2 = matrix_rhs(rho + 0.5 * h * k1, c)
-        k3 = matrix_rhs(rho + 0.5 * h * k2, c)
-        k4 = matrix_rhs(rho + h * k3, c)
-        rn = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.isfinite(rn.real).all() and np.isfinite(rn.imag).all()):
-            return rho, i, STATUS_NONFINITE
-        rn = 0.5 * (rn + np.conj(rn.T))
-        tr = np.trace(rn).real
-        if tr <= 0.0:
-            return rho, i, STATUS_NONFINITE
-        rn = rn / tr
-        w = np.linalg.eigvalsh(rn)
-        if w[0] < floor:
-            return rn, i + 1, STATUS_BOUNDARY
-        rho = rn
-    return rho, nsteps, STATUS_OK
+    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_project)

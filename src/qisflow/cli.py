@@ -9,6 +9,7 @@ or parse failure, 2 numeric failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -29,11 +30,8 @@ def _add_run_args(sub):
     sub.add_argument("problem", help="YAML problem file")
     sub.add_argument("-o", "--output", required=True, help="trajectory output path")
     sub.add_argument("--format", choices=("csv", "structured"), default="csv")
-    sub.add_argument("--step", type=float)
-    sub.add_argument("--t-max", type=float)
-    sub.add_argument("--grad-tol", type=float)
-    sub.add_argument("--boundary-floor", type=float)
-    sub.add_argument("--record-every", type=int)
+    for f in dataclasses.fields(IntegrationParams):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     sub.add_argument("--seed", type=int, help="seed for random initial states")
 
 
@@ -66,18 +64,10 @@ def _env_seed() -> int | None:
 
 
 def _resolve_params(problem, args) -> IntegrationParams:
-    p = problem.params
-    fields = {
-        "step": args.step,
-        "t_max": args.t_max,
-        "grad_tol": args.grad_tol,
-        "boundary_floor": args.boundary_floor,
-        "record_every": args.record_every,
-    }
-    kwargs = {
-        name: (override if override is not None else getattr(p, name))
-        for name, override in fields.items()
-    }
+    kwargs = {}
+    for f in dataclasses.fields(IntegrationParams):
+        override = getattr(args, f.name)
+        kwargs[f.name] = override if override is not None else getattr(problem.params, f.name)
     return IntegrationParams(**kwargs)
 
 

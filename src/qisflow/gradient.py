@@ -72,10 +72,13 @@ def grad_K(rho, c) -> np.ndarray:
     rho = _as_square(rho, "rho")
     c = cost_vector(c)
     _check_cost_dim(rho, c)
-    crho = c[:, None] * rho
-    rhoc = rho * c[None, :]
+    return _grad_K(rho, c)
+
+
+def _grad_K(rho, c) -> np.ndarray:
+    """``grad_K`` without validation: the RK4 right-hand side calls it per stage."""
     r2 = rho @ rho
-    rcr = rho @ crho
+    rcr = rho @ (c[:, None] * rho)
     return 0.25 * (r2 * c[None, :] + 2.0 * rcr + c[:, None] * r2) - np.trace(rcr).real * rho
 
 

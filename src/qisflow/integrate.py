@@ -96,40 +96,10 @@ def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTraject
     if c.shape[0] != rho.shape[0]:
         raise ContractError("cost vector length does not match state dimension")
     stat_floor = min(DEFAULT_EIG_FLOOR, 0.5 * p.boundary_floor)
-
-    traj = FlowTrajectory()
-    traj._record(0.0, rho.copy(), potential_K(rho, c))
-    if np.linalg.eigvalsh(rho)[0] < p.boundary_floor:
-        traj.stop_reason = STOP_BOUNDARY
-        return traj
-    if stationarity_norm(rho, c, stat_floor) <= p.grad_tol:
-        traj.stop_reason = STOP_STATIONARY
-        return traj
-
-    total = _total_steps(p)
-    k = 0
-    while True:
-        chunk = min(p.record_every, total - k)
-        rho, done, status = _kernels.advance_matrix(
-            rho, c, p.step, chunk, p.boundary_floor
-        )
-        k += done
-        t = k * p.step
-        if status == _kernels.STATUS_NONFINITE:
-            raise NumericError(
-                f"non-finite entries at t={t:.6g}; returning last good state",
-                last_state=rho,
-            )
-        traj._record(t, rho.copy(), potential_K(rho, c))
-        if status == _kernels.STATUS_BOUNDARY:
-            traj.stop_reason = STOP_BOUNDARY
-            return traj
-        if stationarity_norm(rho, c, stat_floor) <= p.grad_tol:
-            traj.stop_reason = STOP_STATIONARY
-            return traj
-        if k >= total:
-            traj.stop_reason = STOP_TMAX
-            return traj
+    return _integrate(
+        rho, c, p, _kernels.advance_matrix, _kernels._matrix_lowest, potential_K,
+        lambda y, c: stationarity_norm(y, c, stat_floor),
+    )
 
 
 def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajectory:
@@ -140,13 +110,22 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
     c = cost_vector(c)
     if c.shape[0] != x.shape[0]:
         raise ContractError("cost vector length does not match state dimension")
+    return _integrate(
+        x, c, p, _kernels.advance_simplex, np.min, potential_kappa,
+        simplex_stationarity_norm,
+    )
 
+
+def _integrate(y, c, p, advance, lowest, potential, stationarity) -> FlowTrajectory:
+    """Drive ``advance`` in chunks of ``p.record_every`` steps, recording after
+    each chunk, until the boundary floor, stationarity or the horizon; a step
+    that goes non-finite or leaves the domain raises ``NumericError``."""
     traj = FlowTrajectory()
-    traj._record(0.0, x.copy(), potential_kappa(x, c))
-    if x.min() < p.boundary_floor:
+    traj._record(0.0, y.copy(), potential(y, c))
+    if lowest(y) < p.boundary_floor:
         traj.stop_reason = STOP_BOUNDARY
         return traj
-    if simplex_stationarity_norm(x, c) <= p.grad_tol:
+    if stationarity(y, c) <= p.grad_tol:
         traj.stop_reason = STOP_STATIONARY
         return traj
 
@@ -154,19 +133,25 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
     k = 0
     while True:
         chunk = min(p.record_every, total - k)
-        x, done, status = _kernels.advance_simplex(x, c, p.step, chunk, p.boundary_floor)
+        y, done, status = advance(y, c, p.step, chunk, p.boundary_floor)
         k += done
         t = k * p.step
         if status == _kernels.STATUS_NONFINITE:
             raise NumericError(
                 f"non-finite entries at t={t:.6g}; returning last good state",
-                last_state=x,
+                last_state=y,
             )
-        traj._record(t, x.copy(), potential_kappa(x, c))
+        if status == _kernels.STATUS_LEFT_DOMAIN:
+            raise NumericError(
+                f"step {p.step:g} left the domain after t={t:.6g}; it is likely too "
+                f"large for the cost scale (max |c| = {np.max(np.abs(c)):g})",
+                last_state=y,
+            )
+        traj._record(t, y.copy(), potential(y, c))
         if status == _kernels.STATUS_BOUNDARY:
             traj.stop_reason = STOP_BOUNDARY
             return traj
-        if simplex_stationarity_norm(x, c) <= p.grad_tol:
+        if stationarity(y, c) <= p.grad_tol:
             traj.stop_reason = STOP_STATIONARY
             return traj
         if k >= total:

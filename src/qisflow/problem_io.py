@@ -9,7 +9,7 @@ shortest round-trip repr).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -82,7 +82,7 @@ def load_problem(path) -> Problem:
     raw_params = doc.get("params") or {}
     if not isinstance(raw_params, dict):
         raise ContractError(f"{path}: field 'params' must be a mapping")
-    allowed = {"step", "t_max", "grad_tol", "boundary_floor", "record_every"}
+    allowed = {f.name for f in fields(IntegrationParams)}
     if set(raw_params) - allowed:
         raise ContractError(
             f"{path}: unknown params {sorted(set(raw_params) - allowed)}"

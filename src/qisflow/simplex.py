@@ -62,6 +62,11 @@ def grad_kappa(x, c) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     c = cost_vector(c)
     _same_len(x, c)
+    return _grad_kappa(x, c)
+
+
+def _grad_kappa(x, c) -> np.ndarray:
+    """``grad_kappa`` without validation: the RK4 right-hand side calls it per stage."""
     cx2 = c * x * x
     return cx2 - x * cx2.sum()
 

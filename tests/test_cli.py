@@ -256,9 +256,14 @@ class TestExitCodes:
         })
         assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv")]) == 1
 
-    def test_numeric_failure(self, tmp_path, capsys):
-        prob = write_problem(tmp_path / "p.yaml", {
-            "m": 2, "c": [1e5, -1e5],
-            "params": {"step": 1e10, "t_max": 1e12},
-        })
-        assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv")]) == 2
+    @pytest.mark.parametrize("command, doc", [
+        (["solve-lp"], {"m": 2, "c": [1e5, -1e5],
+                        "params": {"step": 1e10, "t_max": 1e12}}),
+        # one default-size step leaves the domain at this cost scale
+        (["solve-lp"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
+        (["solve-lp", "--simplex"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
+        (["flow"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
+    ], ids=["non-finite", "overshoot", "overshoot-simplex", "overshoot-flow"])
+    def test_numeric_failure(self, tmp_path, capsys, command, doc):
+        prob = write_problem(tmp_path / "p.yaml", doc)
+        assert main([*command, prob, "-o", str(tmp_path / "t.csv")]) == 2

@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
-import pytest
 
-from qisflow import BACKEND
 from qisflow._kernels import (
     STATUS_BOUNDARY,
+    STATUS_LEFT_DOMAIN,
     STATUS_NONFINITE,
     STATUS_OK,
     advance_matrix,
@@ -20,6 +14,9 @@ from qisflow.gradient import flow_field_K
 from qisflow.simplex import karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
 
+# One RK4 step of size 1e-2 at this cost scale overshoots out of the domain.
+OVERSHOOT_C = np.array([3000.0, -1000.0, -1500.0, 2000.0])
+
 
 class TestRhs:
     def test_simplex_rhs_matches_reference(self):
@@ -28,7 +25,7 @@ class TestRhs:
             m = int(rng.integers(2, 8))
             x = random_simplex_point(rng, m)
             c = random_cost(rng, m)
-            assert np.max(np.abs(simplex_rhs(x, c) - karmarkar_field(x, c))) < 1e-14
+            assert np.array_equal(simplex_rhs(x, c), karmarkar_field(x, c))
 
     def test_matrix_rhs_matches_reference(self):
         rng = np.random.default_rng(1)
@@ -36,7 +33,7 @@ class TestRhs:
             m = int(rng.integers(2, 6))
             rho = random_density(rng, m)
             c = random_cost(rng, m)
-            assert np.max(np.abs(matrix_rhs(rho, c) - flow_field_K(rho, c))) < 1e-13
+            assert np.array_equal(matrix_rhs(rho, c), flow_field_K(rho, c))
 
 
 class TestAdvance:
@@ -61,6 +58,12 @@ class TestAdvance:
         assert status == STATUS_NONFINITE
         assert np.allclose(xn, x)  # last good state returned
 
+    def test_simplex_left_domain_status(self):
+        x = np.full(4, 0.25)
+        xn, steps, status = advance_simplex(x, OVERSHOOT_C, 1e-2, 10, 1e-10)
+        assert status == STATUS_LEFT_DOMAIN and steps == 0
+        assert np.array_equal(xn, x)
+
     def test_matrix_preserves_structure(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng, 3)
@@ -70,59 +73,8 @@ class TestAdvance:
         assert abs(np.trace(rn).real - 1.0) < 1e-12
         assert np.max(np.abs(rn - rn.conj().T)) == 0.0
 
-
-def _expected_backend(pure_numpy_flag):
-    """The backend `_kernels` documents: numba when it imports, unless the flag is "1"."""
-    if pure_numpy_flag == "1":
-        return "numpy"
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        return "numpy"
-    return "numba"
-
-
-class TestBackendParity:
-    def test_backend_constant(self):
-        assert BACKEND == _expected_backend(os.environ.get("QISFLOW_PURE_NUMPY"))
-
-    def test_pure_numpy_switch_selects_backend(self):
-        for flag in ("1", "0"):
-            env = dict(os.environ, QISFLOW_PURE_NUMPY=flag)
-            proc = subprocess.run(
-                [sys.executable, "-c", "from qisflow._kernels import BACKEND; print(BACKEND)"],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            assert proc.stdout.strip() == _expected_backend(flag), flag
-
-    def test_endpoints_agree_across_backends(self, tmp_path):
-        pytest.importorskip("numba")
-        script = textwrap.dedent("""
-            import numpy as np
-            from qisflow._kernels import BACKEND, advance_matrix, advance_simplex
-            from qisflow.randstate import random_density
-
-            rng = np.random.default_rng(7)
-            rho = random_density(rng, 4)
-            c = np.array([1.5, -2.0, 0.7, -0.9])
-            rn, steps, status = advance_matrix(rho, c, 1e-2, 500, 1e-12)
-            x = np.array([0.4, 0.3, 0.2, 0.1])
-            xn, ssteps, sstatus = advance_simplex(x, c, 1e-2, 500, 1e-12)
-            np.savez(SAVEPATH, rn=rn, xn=xn,
-                     meta=np.array([steps, status, ssteps, sstatus]))
-            print(BACKEND)
-        """)
-        results = {}
-        for flag in ("0", "1"):
-            out = tmp_path / f"backend_{flag}.npz"
-            env = dict(os.environ, QISFLOW_PURE_NUMPY=flag)
-            proc = subprocess.run(
-                [sys.executable, "-c", script.replace("SAVEPATH", repr(str(out)))],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            results[proc.stdout.strip()] = np.load(out)
-        assert set(results) == {"numba", "numpy"}
-        a, b = results["numba"], results["numpy"]
-        assert np.array_equal(a["meta"], b["meta"])
-        assert np.max(np.abs(a["rn"] - b["rn"])) < 1e-12
-        assert np.max(np.abs(a["xn"] - b["xn"])) < 1e-12
+    def test_matrix_left_domain_status(self):
+        rho = np.eye(4, dtype=np.complex128) / 4
+        rn, steps, status = advance_matrix(rho, OVERSHOOT_C, 1e-2, 10, 1e-10)
+        assert status == STATUS_LEFT_DOMAIN and steps == 0
+        assert np.array_equal(rn, rho)
