@@ -28,22 +28,17 @@ def matrix_rhs(rho, c):
     return -_grad_K(rho, c)
 
 
-def _simplex_project(x):
-    return x, np.sum(x)
-
-
-def _matrix_project(rho):
-    rho = 0.5 * (rho + np.conj(rho.T))
-    return rho, np.trace(rho).real
+def _matrix_norm(rho):
+    return np.trace(rho).real
 
 
 def _matrix_lowest(rho):
     return np.linalg.eigvalsh(rho)[0]
 
 
-def _advance(y, c, h, nsteps, floor, rhs, lowest, project):
-    """RK4 steps of dy/dt = rhs(y, c); each step is projected to (part, norm)
-    and renormalized, then checked against the domain and the floor."""
+def _advance(y, c, h, nsteps, floor, rhs, lowest, norm):
+    """RK4 steps of dy/dt = rhs(y, c); each step is divided by norm(y), then
+    checked against the domain and the floor."""
     for i in range(nsteps):
         k1 = rhs(y, c)
         k2 = rhs(y + 0.5 * h * k1, c)
@@ -52,10 +47,10 @@ def _advance(y, c, h, nsteps, floor, rhs, lowest, project):
         yn = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(yn).all():
             return y, i, STATUS_NONFINITE
-        yn, norm = project(yn)
-        if norm <= 0.0:
+        s = norm(yn)
+        if s <= 0.0:
             return y, i, STATUS_NONFINITE
-        yn = yn / norm
+        yn = yn / s
         low = lowest(yn)
         if low <= 0.0:
             return y, i, STATUS_LEFT_DOMAIN
@@ -66,8 +61,11 @@ def _advance(y, c, h, nsteps, floor, rhs, lowest, project):
 
 
 def advance_simplex(x, c, h, nsteps, floor):
-    return _advance(x, c, h, nsteps, floor, simplex_rhs, np.min, _simplex_project)
+    return _advance(x, c, h, nsteps, floor, simplex_rhs, np.min, np.sum)
 
 
 def advance_matrix(rho, c, h, nsteps, floor):
-    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_project)
+    """Symmetrized once on entry: the field keeps a Hermitian state exactly
+    Hermitian, so each step only renormalizes the trace."""
+    rho = 0.5 * (rho + rho.conj().T)
+    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_norm)

@@ -132,6 +132,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _discard_output(args) -> None:
+    """Remove the file at -o, so that a failed run leaves no earlier run's
+    trajectory behind."""
+    path = getattr(args, "output", None)
+    if path is None:
+        return
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        print(f"error: could not remove {path}: {exc}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"solve-lp": cmd_solve_lp, "flow": cmd_flow, "verify": cmd_verify}
@@ -139,6 +153,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        _discard_output(args)
         return EXIT_NUMERIC
     except (QisflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

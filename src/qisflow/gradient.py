@@ -76,10 +76,13 @@ def grad_K(rho, c) -> np.ndarray:
 
 
 def _grad_K(rho, c) -> np.ndarray:
-    """``grad_K`` without validation: the RK4 right-hand side calls it per stage."""
-    r2 = rho @ rho
-    rcr = rho @ (c[:, None] * rho)
-    return 0.25 * (r2 * c[None, :] + 2.0 * rcr + c[:, None] * r2) - np.trace(rcr).real * rho
+    """``grad_K`` without validation: the RK4 right-hand side calls it per stage.
+
+    With P = rho (C rho + rho C) it is (P + P†)/4 - (tr P / 2) rho, one matrix
+    product; the result is exactly Hermitian whenever rho is.
+    """
+    p = rho @ (c[:, None] * rho + rho * c)
+    return 0.25 * (p + p.conj().T) - (0.5 * np.trace(p).real) * rho
 
 
 def flow_field_K(rho, c) -> np.ndarray:

@@ -88,17 +88,21 @@ def _total_steps(p: IntegrationParams) -> int:
 
 
 def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTrajectory:
-    """Integrate d rho/dt = -grad_K(rho) with RK4; each step re-symmetrizes and
-    renormalizes the trace.  Stops on stationarity, horizon, or boundary guard."""
+    """Integrate d rho/dt = -grad_K(rho) with RK4; the field keeps states exactly
+    Hermitian and each step renormalizes the trace.  C is real, so a real rho0
+    stays real and is integrated in real arithmetic; states are recorded as
+    complex matrices.  Stops on stationarity, horizon, or boundary guard."""
     p = p or IntegrationParams()
     rho = check_density(rho0, floor=0.0)
     c = cost_vector(c)
     if c.shape[0] != rho.shape[0]:
         raise ContractError("cost vector length does not match state dimension")
+    if not rho.imag.any():
+        rho = rho.real.copy()
     stat_floor = min(DEFAULT_EIG_FLOOR, 0.5 * p.boundary_floor)
     return _integrate(
         rho, c, p, _kernels.advance_matrix, _kernels._matrix_lowest, potential_K,
-        lambda y, c: stationarity_norm(y, c, stat_floor),
+        lambda y, c: stationarity_norm(y, c, stat_floor), np.complex128,
     )
 
 
@@ -112,20 +116,22 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
         raise ContractError("cost vector length does not match state dimension")
     return _integrate(
         x, c, p, _kernels.advance_simplex, np.min, potential_kappa,
-        simplex_stationarity_norm,
+        simplex_stationarity_norm, np.float64,
     )
 
 
-def _integrate(y, c, p, advance, lowest, potential, stationarity) -> FlowTrajectory:
-    """Drive ``advance`` in chunks of ``p.record_every`` steps, recording after
-    each chunk, until the boundary floor, stationarity or the horizon; a step
-    that goes non-finite or leaves the domain raises ``NumericError``."""
+def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> FlowTrajectory:
+    """Drive ``advance`` in chunks of ``p.record_every`` steps, recording a
+    ``dtype`` copy after each chunk, until the boundary floor, stationarity or
+    the horizon; a step that goes non-finite or leaves the domain raises
+    ``NumericError``.  The per-record checks read the recorded copy."""
     traj = FlowTrajectory()
-    traj._record(0.0, y.copy(), potential(y, c))
+    state = y.astype(dtype)
+    traj._record(0.0, state, potential(state, c))
     if lowest(y) < p.boundary_floor:
         traj.stop_reason = STOP_BOUNDARY
         return traj
-    if stationarity(y, c) <= p.grad_tol:
+    if stationarity(state, c) <= p.grad_tol:
         traj.stop_reason = STOP_STATIONARY
         return traj
 
@@ -139,19 +145,20 @@ def _integrate(y, c, p, advance, lowest, potential, stationarity) -> FlowTraject
         if status == _kernels.STATUS_NONFINITE:
             raise NumericError(
                 f"non-finite entries at t={t:.6g}; returning last good state",
-                last_state=y,
+                last_state=y.astype(dtype),
             )
         if status == _kernels.STATUS_LEFT_DOMAIN:
             raise NumericError(
                 f"step {p.step:g} left the domain after t={t:.6g}; it is likely too "
                 f"large for the cost scale (max |c| = {np.max(np.abs(c)):g})",
-                last_state=y,
+                last_state=y.astype(dtype),
             )
-        traj._record(t, y.copy(), potential(y, c))
+        state = y.astype(dtype)
+        traj._record(t, state, potential(state, c))
         if status == _kernels.STATUS_BOUNDARY:
             traj.stop_reason = STOP_BOUNDARY
             return traj
-        if stationarity(y, c) <= p.grad_tol:
+        if stationarity(state, c) <= p.grad_tol:
             traj.stop_reason = STOP_STATIONARY
             return traj
         if k >= total:

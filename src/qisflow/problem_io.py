@@ -129,10 +129,6 @@ def _pick_seed(problem: Problem, override: int | None) -> int:
     raise ContractError("random init needs a seed (problem file, --seed, or QISFLOW_SEED)")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _matrix_rows(traj: FlowTrajectory, extra=None):
     m = traj.states[0].shape[0]
     header = ["t"]
@@ -142,29 +138,30 @@ def _matrix_rows(traj: FlowTrajectory, extra=None):
     header += ["potential"]
     if extra is not None:
         header += [extra[0]]
-    rows = []
-    for idx, (t, rho, pot) in enumerate(
-        zip(traj.times, traj.states, traj.potential_values)
-    ):
-        eig = np.linalg.eigvalsh(rho)
-        row = [t]
-        row += list(rho.real.ravel())
-        row += list(rho.imag.ravel())
-        row += list(eig)
-        row += [pot]
-        if extra is not None:
-            row += [extra[1][idx]]
-        rows.append(row)
-    return header, rows
+
+    def rows():
+        for idx, (t, rho, pot) in enumerate(
+            zip(traj.times, traj.states, traj.potential_values)
+        ):
+            row = [float(t)]
+            row += rho.real.ravel().tolist()
+            row += rho.imag.ravel().tolist()
+            row += np.linalg.eigvalsh(rho).tolist()
+            row.append(float(pot))
+            if extra is not None:
+                row.append(float(extra[1][idx]))
+            yield row
+
+    return header, rows()
 
 
 def _simplex_rows(traj: FlowTrajectory):
     m = traj.states[0].shape[0]
     header = ["t"] + [f"x_{j}" for j in range(1, m + 1)] + ["potential"]
-    rows = [
-        [t] + list(x) + [pot]
+    rows = (
+        [float(t)] + x.tolist() + [float(pot)]
         for t, x, pot in zip(traj.times, traj.states, traj.potential_values)
-    ]
+    )
     return header, rows
 
 
@@ -173,7 +170,9 @@ def write_trajectory(path, traj: FlowTrajectory, kind: str, fmt: str = "csv",
     """Write a trajectory as CSV or structured YAML.
 
     ``kind`` is 'matrix' or 'simplex'; ``extra`` is an optional
-    (column_name, values) pair appended to matrix output.
+    (column_name, values) pair appended to matrix output.  CSV rows are
+    streamed one at a time in the csv module's default dialect; no field
+    needs quoting.
     """
     if kind == "matrix":
         header, rows = _matrix_rows(traj, extra)
@@ -184,16 +183,15 @@ def write_trajectory(path, traj: FlowTrajectory, kind: str, fmt: str = "csv",
 
     if fmt == "csv":
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
+            f.write(",".join(header) + "\r\n")
             for row in rows:
-                w.writerow([_fmt(v) for v in row])
+                f.write(",".join(map(repr, row)) + "\r\n")
     elif fmt == "structured":
         doc = {
             "kind": kind,
             "stop_reason": traj.stop_reason,
             "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": list(rows),
         }
         with open(path, "w") as f:
             yaml.safe_dump(doc, f, sort_keys=False)

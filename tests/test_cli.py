@@ -1,14 +1,23 @@
+import csv
+
 import numpy as np
 import pytest
 import yaml
 
-from qisflow import ContractError, check_density
+from qisflow import (
+    ContractError,
+    IntegrationParams,
+    check_density,
+    integrate_matrix,
+    integrate_simplex,
+)
 from qisflow.cli import main
 from qisflow.problem_io import (
     initial_density,
     initial_simplex,
     load_problem,
     read_trajectory,
+    write_trajectory,
 )
 
 
@@ -78,6 +87,80 @@ class TestProblemIO:
         path.write_text("m: [unclosed\n")
         with pytest.raises(ContractError):
             load_problem(str(path))
+
+
+def reference_write(path, traj, kind, fmt, extra=None):
+    """The per-value writer that ``write_trajectory`` replaced: whole rows of
+    numpy scalars first, then ``csv.writer`` with ``repr(float(v))``."""
+    m = traj.states[0].shape[0]
+    if kind == "matrix":
+        header = (["t"] + [f"re_{i}_{j}" for i in range(m) for j in range(m)]
+                  + [f"im_{i}_{j}" for i in range(m) for j in range(m)]
+                  + [f"eig_{k}" for k in range(1, m + 1)] + ["potential"])
+        if extra is not None:
+            header += [extra[0]]
+        rows = []
+        for idx, (t, rho, pot) in enumerate(
+            zip(traj.times, traj.states, traj.potential_values)
+        ):
+            row = [t] + list(rho.real.ravel()) + list(rho.imag.ravel())
+            row += list(np.linalg.eigvalsh(rho)) + [pot]
+            if extra is not None:
+                row += [extra[1][idx]]
+            rows.append(row)
+    else:
+        header = ["t"] + [f"x_{j}" for j in range(1, m + 1)] + ["potential"]
+        rows = [[t] + list(x) + [pot]
+                for t, x, pot in zip(traj.times, traj.states, traj.potential_values)]
+    if fmt == "csv":
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(float(v)) for v in row])
+    else:
+        doc = {"kind": kind, "stop_reason": traj.stop_reason, "columns": header,
+               "rows": [[float(v) for v in row] for row in rows]}
+        with open(path, "w") as f:
+            yaml.safe_dump(doc, f, sort_keys=False)
+
+
+class TestWriteTrajectory:
+    """``write_trajectory`` streams rows; its bytes match the reference writer."""
+
+    @staticmethod
+    def _matrix_traj():
+        rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        traj = integrate_matrix(rho0, [1.0, -2.0], IntegrationParams(t_max=0.5))
+        # -0.0, subnormal and large values in every kind of column
+        traj._record(1e300, np.array([[0.5, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]]), -0.0)
+        traj._record(-0.0, np.array([[1e300, 2.5e-310], [2.5e-310, -1e-300]]), 1.7e308)
+        return traj
+
+    @staticmethod
+    def _simplex_traj():
+        traj = integrate_simplex([0.2, 0.3, 0.5], [1.0, -2.0, 0.5], IntegrationParams(t_max=0.5))
+        traj._record(1e300, np.array([-0.0, 5e-324, 1e300]), -0.0)
+        return traj
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize("kind, with_extra", [
+        ("matrix", False), ("matrix", True), ("simplex", False),
+    ])
+    def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra):
+        traj = self._matrix_traj() if kind == "matrix" else self._simplex_traj()
+        extra = None
+        if with_extra:
+            values = [0.1 * k for k in range(len(traj.times))]
+            values[:3] = [-0.0, 5e-324, 1e300]
+            extra = ("commutator_norm", values)
+        got, want = tmp_path / "got", tmp_path / "want"
+        write_trajectory(got, traj, kind, fmt=fmt, extra=extra)
+        reference_write(want, traj, kind, fmt, extra=extra)
+        data = got.read_bytes()
+        assert data == want.read_bytes()
+        for token in (b"-0.0", b"e-324", b"e+300"):
+            assert token in data
 
 
 class TestSolveLp:
@@ -266,4 +349,7 @@ class TestExitCodes:
     ], ids=["non-finite", "overshoot", "overshoot-simplex", "overshoot-flow"])
     def test_numeric_failure(self, tmp_path, capsys, command, doc):
         prob = write_problem(tmp_path / "p.yaml", doc)
-        assert main([*command, prob, "-o", str(tmp_path / "t.csv")]) == 2
+        out = tmp_path / "t.csv"
+        out.write_text("an earlier run's trajectory\n")
+        assert main([*command, prob, "-o", str(out)]) == 2
+        assert not out.exists()

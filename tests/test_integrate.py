@@ -12,6 +12,7 @@ from qisflow import (
     stationarity_norm,
 )
 from qisflow.integrate import STOP_BOUNDARY, STOP_STATIONARY, STOP_TMAX
+from qisflow.qis_core import density_state
 from qisflow.randstate import random_density
 
 
@@ -104,6 +105,27 @@ class TestMatrixFlow:
             integrate_matrix(rho0, c, IntegrationParams(step=1e10, t_max=1e12))
         assert err.value.last_state is not None
         assert np.allclose(err.value.last_state, rho0)
+
+    def test_real_state_is_recorded_as_complex(self):
+        x0 = np.array([0.1, 0.2, 0.3, 0.4])
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        sym = (q * x0) @ q.T
+        for rho0 in (np.diag(x0), 0.5 * (sym + sym.T)):
+            traj = integrate_matrix(rho0, [2.0, -1.0, 0.5, 3.0], IntegrationParams(t_max=1.0))
+            assert len(traj.states) > 2
+            for rho in traj.states:
+                assert rho.dtype == np.complex128
+                assert not rho.imag.any()
+
+    def test_complex_states_stay_exactly_hermitian(self):
+        rho0 = density_state(random_density(np.random.default_rng(6), 4))
+        c = np.array([1.5, -2.0, 0.5, 3.0])
+        assert np.linalg.norm(rho0 * c - c[:, None] * rho0) > 0.1  # does not commute
+        assert np.abs(rho0.imag).max() > 0.01
+        traj = integrate_matrix(rho0, c, IntegrationParams(t_max=5.0, record_every=1))
+        assert len(traj.states) > 100
+        for rho in traj.states:
+            assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
     def test_commutes_along_flow_for_uniform_cost(self):
         rng = np.random.default_rng(1)

@@ -78,3 +78,26 @@ class TestAdvance:
         rn, steps, status = advance_matrix(rho, OVERSHOOT_C, 1e-2, 10, 1e-10)
         assert status == STATUS_LEFT_DOMAIN and steps == 0
         assert np.array_equal(rn, rho)
+
+
+class TestRealPath:
+    """C is real, so the matrix flow keeps a real symmetric state real, and
+    the same kernel runs in real arithmetic on it."""
+
+    @staticmethod
+    def _states(rng, m):
+        x = random_simplex_point(rng, m)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        sym = (q * x) @ q.T
+        return np.diag(x), 0.5 * (sym + sym.T)
+
+    def test_real_and_complex_states_agree(self):
+        rng = np.random.default_rng(4)
+        for m in (2, 3, 5, 8):
+            c = random_cost(rng, m)
+            for rho in self._states(rng, m):
+                rr, nr, sr = advance_matrix(rho, c, 1e-3, 500, 1e-12)
+                rc, nc, sc = advance_matrix(rho.astype(np.complex128), c, 1e-3, 500, 1e-12)
+                assert rr.dtype == np.float64
+                assert (nr, sr) == (nc, sc) == (500, STATUS_OK)
+                assert np.max(np.abs(rr - rc)) < 1e-14
