@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from .errors import ContractError, NumericError
 from .gradient import cost_vector, grad_K, potential_K
-from .qis_core import DEFAULT_EIG_FLOOR, check_density, spectral_decompose
+from .qis_core import DEFAULT_EIG_FLOOR, check_density, hermitian_part, spectral_decompose
 from .simplex import check_simplex_point, grad_kappa, potential_kappa
 
 STOP_STATIONARY = "stationary"
@@ -88,12 +88,13 @@ def _total_steps(p: IntegrationParams) -> int:
 
 
 def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTrajectory:
-    """Integrate d rho/dt = -grad_K(rho) with RK4; the field keeps states exactly
+    """Integrate d rho/dt = -grad_K(rho) with RK4; rho0 is symmetrized once, so
+    the t=0 record is the state integrated, the field keeps states exactly
     Hermitian and each step renormalizes the trace.  C is real, so a real rho0
     stays real and is integrated in real arithmetic; states are recorded as
     complex matrices.  Stops on stationarity, horizon, or boundary guard."""
     p = p or IntegrationParams()
-    rho = check_density(rho0, floor=0.0)
+    rho = hermitian_part(check_density(rho0, floor=0.0))
     c = cost_vector(c)
     if c.shape[0] != rho.shape[0]:
         raise ContractError("cost vector length does not match state dimension")

@@ -157,40 +157,22 @@ def r_metric(rho, xi, xi2, n: int | None = None, g: np.ndarray | None = None) ->
     return ambient_metric(lx, lx2)
 
 
-def anti_hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Real basis of the anti-Hermitian matrices of the given degree."""
-    basis = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[j, j] = 1j
-        basis.append(e)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[j, k] = 1.0
-            e[k, j] = -1.0
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[j, k] = 1j
-            e[k, j] = 1j
-            basis.append(e)
-    return basis
-
-
 def vertical_project(phi, x) -> np.ndarray:
-    """Least-squares projection of a tangent onto the vertical space {eta Phi}.
+    """Orthogonal projection of a tangent onto the vertical space {eta Phi}.
 
-    Brute-force over a full anti-Hermitian basis; intended as an oracle at
-    desk scale (dimension 4^n).
+    The anti-Hermitian eta nearest to X solves eta G + G eta = X Phi† - Phi X†
+    with G = Phi Phi†; in the eigenbasis of G it divides entrywise by
+    g_j + g_k.  Denominators at or below the ``matrix_rank`` cutoff (the null
+    block of G, or a column-rank-deficient Phi) contribute nothing.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    cols = [(e @ phi).ravel() for e in anti_hermitian_basis(phi.shape[0])]
-    a = np.array(cols).T
-    a_real = np.vstack([a.real, a.imag])
-    b_real = np.concatenate([x.ravel().real, x.ravel().imag])
-    coef, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    return (a @ coef).reshape(phi.shape)
+    g, u = np.linalg.eigh(phi @ phi.conj().T)
+    r = u.conj().T @ (x @ phi.conj().T - phi @ x.conj().T) @ u
+    den = g[:, None] + g[None, :]
+    keep = den > g.shape[0] * np.finfo(np.float64).eps * np.max(g)
+    eta = np.divide(r, den, out=np.zeros_like(r), where=keep)
+    return u @ eta @ u.conj().T @ phi
 
 
 def random_vertical(phi, rng) -> np.ndarray:

@@ -234,6 +234,21 @@ class TestSolveLp:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_random_init_is_recorded_hermitian(self, tmp_path, capsys):
+        prob = write_problem(tmp_path / "p.yaml", {
+            "m": 4, "c": [1.5, -2.0, 0.5, 3.0], "init": "random", "seed": 7,
+            "params": {"t_max": 0.1},
+        })
+        out = tmp_path / "t.csv"
+        assert main(["solve-lp", prob, "-o", str(out)]) == 0
+        capsys.readouterr()
+        data = read_trajectory(str(out))
+        col = {c: i for i, c in enumerate(data["columns"])}
+        row = data["rows"][0]
+        rho = np.array([[row[col[f"re_{i}_{j}"]] + 1j * row[col[f"im_{i}_{j}"]]
+                         for j in range(4)] for i in range(4)])
+        assert np.array_equal(rho, rho.conj().T)
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         prob = write_problem(tmp_path / "p.yaml", {
             "m": 3, "c": [-2.0, 1.0, -1.0], "init": "random",
@@ -317,6 +332,11 @@ class TestVerifyCommand:
     def test_unknown_suite_is_validation_error(self, capsys):
         assert main(["verify", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_is_validation_error(self, capsys, count):
+        assert main(["verify", "all", "--count", count]) == 1
+        assert "count must be at least 1" in capsys.readouterr().err
+
     def test_each_named_suite(self, capsys):
         for suite in ("metric", "isometry", "gradient", "lift"):
             assert main(["verify", suite, "--seed", "1", "--count", "10"]) == 0
@@ -340,8 +360,10 @@ class TestExitCodes:
         assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv")]) == 1
 
     @pytest.mark.parametrize("command, doc", [
-        (["solve-lp"], {"m": 2, "c": [1e5, -1e5],
-                        "params": {"step": 1e10, "t_max": 1e12}}),
+        pytest.param(["solve-lp"], {"m": 2, "c": [1e5, -1e5],
+                                    "params": {"step": 1e10, "t_max": 1e12}},
+                     marks=pytest.mark.filterwarnings(
+                         "ignore:overflow encountered:RuntimeWarning")),
         # one default-size step leaves the domain at this cost scale
         (["solve-lp"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
         (["solve-lp", "--simplex"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),

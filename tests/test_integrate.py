@@ -98,6 +98,7 @@ class TestMatrixFlow:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_step_raises_with_last_state(self):
         rho0 = np.diag([0.5, 0.5]).astype(complex)
         c = np.array([1e5, -1e5])
@@ -126,6 +127,12 @@ class TestMatrixFlow:
         assert len(traj.states) > 100
         for rho in traj.states:
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+
+    def test_unsymmetrized_initial_state_is_recorded_hermitian(self):
+        rho0 = random_density(np.random.default_rng(7), 4)
+        assert np.max(np.abs(rho0 - rho0.conj().T)) > 0.0
+        traj = integrate_matrix(rho0, [1.5, -2.0, 0.5, 3.0], IntegrationParams(t_max=0.1))
+        assert np.array_equal(traj.states[0], traj.states[0].conj().T)
 
     def test_commutes_along_flow_for_uniform_cost(self):
         rng = np.random.default_rng(1)

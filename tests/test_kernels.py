@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qisflow._kernels import (
     STATUS_BOUNDARY,
@@ -51,6 +52,7 @@ class TestAdvance:
         assert status == STATUS_BOUNDARY
         assert np.min(xn) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_simplex_nonfinite_status(self):
         x = np.array([0.5, 0.5])
         c = np.array([1e5, -1e5])

@@ -200,29 +200,78 @@ class TestRMetric:
         assert abs(v1 - v2) < 1e-10
 
 
+def least_squares_vertical(phi, x):
+    """Reference projection onto {eta Phi}: least squares over a full real
+    basis of the anti-Hermitian matrices of degree 2^n (4^n elements)."""
+    dim = phi.shape[0]
+    basis = []
+    for j in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[j, j] = 1j
+        basis.append(e)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = 1.0
+            e[k, j] = -1.0
+            basis.append(e)
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = 1j
+            e[k, j] = 1j
+            basis.append(e)
+    a = np.array([(e @ phi).ravel() for e in basis]).T
+    a_real = np.vstack([a.real, a.imag])
+    b_real = np.concatenate([x.ravel().real, x.ravel().imag])
+    coef, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
+    return (a @ coef).reshape(phi.shape)
+
+
+def random_ambient(rng, rows, m):
+    return rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (2, 4), (3, 5), (3, 8)])
 class TestVerticalSplit:
-    def test_horizontal_lift_orthogonal_to_vertical(self):
+    def test_horizontal_lift_orthogonal_to_vertical(self, n, m):
         rng = np.random.default_rng(12)
-        rho = random_density(rng, 3)
-        state = lift_point(rho, n=2, g=random_unitary(rng, 4))
-        lifted = horizontal_lift(state, random_tangent(rng, 3))
+        rho = random_density(rng, m)
+        state = lift_point(rho, n=n, g=random_unitary(rng, 1 << n))
+        lifted = horizontal_lift(state, random_tangent(rng, m))
         for _ in range(20):
             assert abs(vertical_component_check(state, lifted, rng)) < 1e-10
 
-    def test_vertical_vector_has_no_horizontal_part(self):
+    def test_vertical_vector_has_no_horizontal_part(self, n, m):
         rng = np.random.default_rng(13)
-        state = lift_point(random_density(rng, 3), n=2)
+        state = lift_point(random_density(rng, m), n=n)
         v = random_vertical(state.phi, rng)
         residual = v - vertical_project(state.phi, v)
-        assert np.max(np.abs(residual)) < 1e-10
+        assert np.max(np.abs(residual)) < 1e-12
 
-    def test_decomposition_reconstructs(self):
+    def test_decomposition_reconstructs(self, n, m):
         rng = np.random.default_rng(14)
-        state = lift_point(random_density(rng, 3), n=2)
-        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        state = lift_point(random_density(rng, m), n=n)
+        x = random_ambient(rng, 1 << n, m)
         vertical = vertical_project(state.phi, x)
         horizontal = x - vertical
         assert np.max(np.abs(vertical + horizontal - x)) < 1e-10
         # horizontal part is ambient-orthogonal to fresh vertical directions
         for _ in range(10):
             assert abs(ambient_metric(horizontal, random_vertical(state.phi, rng))) < 1e-9
+
+
+@pytest.mark.parametrize("n,m,rank", [
+    *[(n, m, m) for n in (1, 2, 3) for m in range(1, (1 << n) + 1)],
+    (3, 5, 2),
+])
+def test_matches_least_squares_oracle(n, m, rank):
+    rng = np.random.default_rng(100 * n + 10 * m + rank)
+    rows = 1 << n
+    if rank == m:
+        phi = lift_point(random_density(rng, m), n=n, g=random_unitary(rng, rows)).phi
+    else:
+        phi = random_ambient(rng, rows, rank) @ random_ambient(rng, rank, m)
+        assert np.linalg.matrix_rank(phi) == rank
+    for _ in range(3):
+        x = random_ambient(rng, rows, m)
+        closed = vertical_project(phi, x)
+        assert np.max(np.abs(closed - least_squares_vertical(phi, x))) < 1e-12
