@@ -17,12 +17,14 @@ from .qis_core import HERM_TOL, _as_square, _same_dim
 
 
 def cost_vector(c) -> np.ndarray:
-    """Validate a cost vector: real 1-d with nonvanishing entries."""
+    """Validate a cost vector: real 1-d with finite, nonvanishing entries."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1:
         raise ContractError(f"cost vector must be 1-d, got shape {c.shape}")
     if np.any(c == 0.0):
         raise ContractError("cost vector entries must be nonvanishing")
+    if not np.all(np.isfinite(c)):
+        raise ContractError("cost vector entries must be finite")
     return c
 
 
@@ -82,7 +84,7 @@ def _grad_K(rho, c) -> np.ndarray:
     product; the result is exactly Hermitian whenever rho is.
     """
     p = rho @ (c[:, None] * rho + rho * c)
-    return 0.25 * (p + p.conj().T) - (0.5 * np.trace(p).real) * rho
+    return 0.25 * (p + p.conj().T) - (0.5 * p.trace().real) * rho
 
 
 def flow_field_K(rho, c) -> np.ndarray:

@@ -4,14 +4,16 @@ recording."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _kernels
 from .errors import ContractError, NumericError
-from .gradient import cost_vector, grad_K, potential_K
-from .qis_core import DEFAULT_EIG_FLOOR, check_density, hermitian_part, spectral_decompose
+from .gradient import cost_vector, m_operator_K, potential_K
+from .qis_core import check_density, hermitian_part
 from .simplex import check_simplex_point, grad_kappa, potential_kappa
 
 STOP_STATIONARY = "stationary"
@@ -28,6 +30,11 @@ class IntegrationParams:
     record_every: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ContractError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("step", "t_max", "grad_tol", "boundary_floor"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
@@ -58,18 +65,27 @@ class FlowTrajectory:
         self.potential_values.append(pot)
 
 
-def stationarity_norm(rho, c, floor: float = DEFAULT_EIG_FLOOR) -> float:
-    """Metric norm of the gradient of the cost potential; zero at fixed points."""
-    g = grad_K(rho, c)
-    dec = spectral_decompose(rho, floor)
-    chi = dec.h.conj().T @ g @ dec.h
-    denom = dec.theta[:, None] + dec.theta[None, :]
-    val = 2.0 * np.sum((chi.conj() * chi).real / denom)
+def stationarity_norm(rho, c) -> float:
+    """SLD-metric norm of the gradient of the cost potential; zero at fixed points.
+
+    The SLD of grad K is A = M - tr(rho M) I with M = (C rho + rho C)/2, so the
+    squared norm is tr(A rho A) = Var_rho(M) and needs no eigendecomposition.
+    M is centred before the product: the uncentred tr(rho M^2) - tr(rho M)^2
+    cancels away most digits near a fixed point.
+    """
+    mf = m_operator_K(rho, c)
+    rho = np.asarray(rho, dtype=np.complex128)
+    a = mf - np.vdot(mf, rho).real * np.eye(mf.shape[0])
+    val = np.vdot(a, a @ rho).real
     return float(np.sqrt(max(val, 0.0)))
 
 
 def simplex_stationarity_norm(x, c) -> float:
-    """Simplex-metric norm of the gradient of kappa."""
+    """Simplex-metric norm of the gradient of kappa.
+
+    Its square sum_j g_j^2 / x_j is Var_x(c∘x), the variance of c_j x_j under
+    the weights x: the simplex case of the matrix variance above.
+    """
     g = grad_kappa(x, c)
     return float(np.sqrt(np.sum(g * g / np.asarray(x, dtype=np.float64))))
 
@@ -100,10 +116,9 @@ def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTraject
         raise ContractError("cost vector length does not match state dimension")
     if not rho.imag.any():
         rho = rho.real.copy()
-    stat_floor = min(DEFAULT_EIG_FLOOR, 0.5 * p.boundary_floor)
     return _integrate(
         rho, c, p, _kernels.advance_matrix, _kernels._matrix_lowest, potential_K,
-        lambda y, c: stationarity_norm(y, c, stat_floor), np.complex128,
+        stationarity_norm, np.complex128,
     )
 
 

@@ -23,6 +23,14 @@ from .simplex import check_simplex_point
 
 INIT_KINDS = ("barycenter", "diagonal", "matrix", "random")
 
+# libyaml's parser when PyYAML was built with it; it resolves and constructs
+# scalars with the same Python code as SafeLoader, so the values are the same
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# States per eigvalsh call in the matrix writer: one call per block, not per
+# row, while the stacked copy stays small beside the trajectory itself
+_EIG_BLOCK = 64
+
 
 @dataclass
 class Problem:
@@ -38,7 +46,7 @@ def load_problem(path) -> Problem:
     """Parse and validate a YAML problem file."""
     with open(path) as f:
         try:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ContractError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -48,8 +56,8 @@ def load_problem(path) -> Problem:
     if unknown:
         raise ContractError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        m = int(doc["m"])
-        c = cost_vector(doc["c"])
+        m = _convert(path, "m", int, doc["m"])
+        c = _convert(path, "c", cost_vector, doc["c"])
     except KeyError as exc:
         raise ContractError(f"{path}: missing required field {exc}") from exc
     if m < 1:
@@ -64,15 +72,16 @@ def load_problem(path) -> Problem:
         kind, data = init, None
     elif isinstance(init, dict) and set(init) == {"diagonal"}:
         kind = "diagonal"
-        data = np.asarray(init["diagonal"], dtype=np.float64)
+        data = _convert(path, "init.diagonal", _floats, init["diagonal"])
         if data.shape != (m,):
             raise ContractError(f"{path}: init.diagonal must have m={m} entries")
     elif isinstance(init, dict) and set(init) == {"matrix"}:
         block = init["matrix"]
-        if not isinstance(block, dict) or set(block) - {"real", "imag"}:
+        if not isinstance(block, dict) or "real" not in block or set(block) - {"real", "imag"}:
             raise ContractError(f"{path}: init.matrix needs 'real' and optional 'imag'")
-        real = np.asarray(block["real"], dtype=np.float64)
-        imag = np.asarray(block.get("imag", np.zeros((m, m))), dtype=np.float64)
+        real = _convert(path, "init.matrix.real", _floats, block["real"])
+        imag = _convert(path, "init.matrix.imag", _floats,
+                        block.get("imag", np.zeros((m, m))))
         if real.shape != (m, m) or imag.shape != (m, m):
             raise ContractError(f"{path}: init.matrix blocks must be {m}x{m}")
         kind, data = "matrix", real + 1j * imag
@@ -91,8 +100,22 @@ def load_problem(path) -> Problem:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _convert(path, "seed", int, seed)
+        if seed < 0:
+            raise ContractError(f"{path}: field 'seed' must be >= 0")
     return Problem(m=m, c=c, init_kind=kind, init_data=data, params=params, seed=seed)
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _convert(path, name: str, convert, value):
+    """``convert(value)``, with a malformed value reported as a ContractError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"{path}: field {name!r} is malformed: {exc}") from exc
 
 
 def initial_density(problem: Problem, seed: int | None = None) -> np.ndarray:
@@ -140,17 +163,19 @@ def _matrix_rows(traj: FlowTrajectory, extra=None):
         header += [extra[0]]
 
     def rows():
-        for idx, (t, rho, pot) in enumerate(
-            zip(traj.times, traj.states, traj.potential_values)
-        ):
-            row = [float(t)]
-            row += rho.real.ravel().tolist()
-            row += rho.imag.ravel().tolist()
-            row += np.linalg.eigvalsh(rho).tolist()
-            row.append(float(pot))
-            if extra is not None:
-                row.append(float(extra[1][idx]))
-            yield row
+        states = traj.states
+        for start in range(0, len(states), _EIG_BLOCK):
+            eigs = np.linalg.eigvalsh(np.stack(states[start:start + _EIG_BLOCK])).tolist()
+            for idx, w in enumerate(eigs, start):
+                rho = states[idx]
+                row = [float(traj.times[idx])]
+                row += rho.real.ravel().tolist()
+                row += rho.imag.ravel().tolist()
+                row += w
+                row.append(float(traj.potential_values[idx]))
+                if extra is not None:
+                    row.append(float(extra[1][idx]))
+                yield row
 
     return header, rows()
 
@@ -209,7 +234,7 @@ def read_trajectory(path, fmt: str = "csv") -> dict:
         return {"columns": header, "rows": np.array(rows)}
     if fmt == "structured":
         with open(path) as f:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_LOADER)
         doc["rows"] = np.array(doc["rows"])
         return doc
     raise ContractError(f"unknown format {fmt!r}; choose csv or structured")

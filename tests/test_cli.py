@@ -11,6 +11,7 @@ from qisflow import (
     integrate_matrix,
     integrate_simplex,
 )
+from qisflow import problem_io
 from qisflow.cli import main
 from qisflow.problem_io import (
     initial_density,
@@ -19,6 +20,7 @@ from qisflow.problem_io import (
     read_trajectory,
     write_trajectory,
 )
+from qisflow.randstate import random_cost, random_density
 
 
 def write_problem(path, doc):
@@ -77,10 +79,39 @@ class TestProblemIO:
         {"m": 2, "c": [1.0, 2.0], "bogus": 1},
         {"m": 2, "c": [1.0, 2.0], "params": {"stepp": 1}},
         {"m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.5]}},
+        {"m": 2, "c": [1.0, 2.0], "init": {"matrix": {"imag": [[0, 0], [0, 0]]}}},
+        {"m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.5, "half"]}},
     ])
     def test_malformed_documents(self, tmp_path, doc):
         with pytest.raises(ContractError):
             load_problem(write_problem(tmp_path / "bad.yaml", doc))
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        assert problem_io._LOADER is yaml.CSafeLoader
+        rng = np.random.default_rng(5)
+        m = 8
+        rho = random_density(rng, m)
+
+        def flow(a):  # a YAML flow sequence of 18-digit floats, as perfbench writes
+            return f"{a:.17e}" if np.ndim(a) == 0 else "[" + ", ".join(map(flow, a)) + "]"
+
+        path = tmp_path / "p.yaml"
+        path.write_text(
+            f"m: {m}\nc: {flow(random_cost(rng, m))}\n"
+            f"init:\n  matrix:\n    real: {flow(rho.real)}\n    imag: {flow(rho.imag)}\n"
+            "params:\n  step: 1.00000000000000002e-02\n  t_max: 1.5\n  record_every: 1\n"
+            "seed: 3\n"
+        )
+        loaded = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(problem_io, "_LOADER", loader)
+            loaded.append(load_problem(str(path)))
+        fast, slow = loaded
+        assert (fast.m, fast.init_kind, fast.params, fast.seed) == (
+            slow.m, slow.init_kind, slow.params, slow.seed)
+        assert np.array_equal(fast.c, slow.c)
+        assert np.array_equal(fast.init_data, slow.init_data)
 
     def test_not_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -129,9 +160,9 @@ class TestWriteTrajectory:
     """``write_trajectory`` streams rows; its bytes match the reference writer."""
 
     @staticmethod
-    def _matrix_traj():
+    def _matrix_traj(**params):
         rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
-        traj = integrate_matrix(rho0, [1.0, -2.0], IntegrationParams(t_max=0.5))
+        traj = integrate_matrix(rho0, [1.0, -2.0], IntegrationParams(**{"t_max": 0.5, **params}))
         # -0.0, subnormal and large values in every kind of column
         traj._record(1e300, np.array([[0.5, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]]), -0.0)
         traj._record(-0.0, np.array([[1e300, 2.5e-310], [2.5e-310, -1e-300]]), 1.7e308)
@@ -144,16 +175,23 @@ class TestWriteTrajectory:
         return traj
 
     @pytest.mark.parametrize("fmt", ["csv", "structured"])
-    @pytest.mark.parametrize("kind, with_extra", [
-        ("matrix", False), ("matrix", True), ("simplex", False),
+    @pytest.mark.parametrize("kind, with_extra, params", [
+        pytest.param("matrix", False, {}, id="matrix-False"),
+        pytest.param("matrix", True, {}, id="matrix-True"),
+        pytest.param("simplex", False, {}, id="simplex-False"),
+        # 153 records: two whole eigvalsh blocks of the matrix writer and a part
+        pytest.param("matrix", True, {"t_max": 1.5, "record_every": 1},
+                     id="matrix-True-153-records"),
     ])
-    def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra):
-        traj = self._matrix_traj() if kind == "matrix" else self._simplex_traj()
+    def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra, params):
+        traj = self._matrix_traj(**params) if kind == "matrix" else self._simplex_traj()
         extra = None
         if with_extra:
             values = [0.1 * k for k in range(len(traj.times))]
             values[:3] = [-0.0, 5e-324, 1e300]
             extra = ("commutator_norm", values)
+        if params:
+            assert len(traj.times) == 153
         got, want = tmp_path / "got", tmp_path / "want"
         write_trajectory(got, traj, kind, fmt=fmt, extra=extra)
         reference_write(want, traj, kind, fmt, extra=extra)
@@ -352,6 +390,25 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-lp", str(tmp_path / "nope.yaml"),
                      "-o", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("text, flags", [
+        ("m: abc\nc: [1.0, 2.0]\n", []),
+        ("m: 2\nc: [1.0, x]\n", []),
+        ("m: 2\nc: [1.0, .inf]\n", []),
+        ("m: 2\nc: [1.0, 2.0]\nseed: abc\n", []),
+        ("m: 2\nc: [1.0, 2.0]\ninit: random\nseed: -1\n", []),
+        ("m: 2\nc: [1.0, 2.0]\nparams: {step: fast}\n", []),
+        ("m: 2\nc: [1.0, 2.0]\nparams: {step: .nan}\n", []),
+        ("m: 2\nc: [1.0, 2.0]\n", ["--step", "nan"]),
+        ("m: 2\nc: [1.0, 2.0]\nparams: {t_max: .inf}\n", []),
+        ("m: 2\nc: [1.0, 2.0]\n", ["--grad-tol", "nan"]),
+    ], ids=["m-abc", "c-x", "c-inf", "seed-abc", "seed-negative", "step-fast", "step-nan",
+            "flag-step-nan", "t_max-inf", "flag-grad-tol-nan"])
+    def test_malformed_value_is_validation_error(self, tmp_path, capsys, text, flags):
+        prob = tmp_path / "p.yaml"
+        prob.write_text(text)
+        assert main(["solve-lp", str(prob), "-o", str(tmp_path / "t.csv"), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_invalid_init_state(self, tmp_path, capsys):
         prob = write_problem(tmp_path / "p.yaml", {

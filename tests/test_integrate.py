@@ -13,7 +13,8 @@ from qisflow import (
 )
 from qisflow.integrate import STOP_BOUNDARY, STOP_STATIONARY, STOP_TMAX
 from qisflow.qis_core import density_state
-from qisflow.randstate import random_density
+from qisflow.gradient import grad_K
+from qisflow.randstate import random_cost, random_density, random_tangent
 
 
 class TestParams:
@@ -31,7 +32,38 @@ class TestParams:
             IntegrationParams(**kwargs)
 
 
+def eigenbasis_stationarity_norm(rho, c):
+    """SLD norm of grad K in the eigenbasis of rho = h diag(theta) h†: with
+    chi = h† grad_K h, its square is 2 sum_jk |chi_jk|^2 / (theta_j + theta_k)."""
+    theta, h = np.linalg.eigh(rho)
+    chi = h.conj().T @ grad_K(rho, c) @ h
+    return float(np.sqrt(2.0 * np.sum(np.abs(chi) ** 2 / (theta[:, None] + theta[None, :]))))
+
+
 class TestStationarity:
+    def test_matches_eigenbasis_oracle(self):
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for i in range(1000):
+            m = int(rng.integers(2, 17))
+            rho = random_density(rng, m, mix=10.0 ** rng.uniform(-3, 0))
+            c = random_cost(rng, m) * (1e3 if i % 2 else 1.0)
+            want = eigenbasis_stationarity_norm(rho, c)
+            worst = max(worst, abs(stationarity_norm(rho, c) - want) / want)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_matches_eigenbasis_oracle_near_a_fixed_point(self, scale):
+        # 1e-6 away from the harmonic point, where grad K vanishes, both forms
+        # lose about 1e-10 relative; tr(rho M^2) - tr(rho M)^2 would lose 1e-3
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            m = int(rng.integers(2, 9))
+            c = rng.uniform(0.5, 6.0, m) * scale
+            rho = np.diag((1 / c) / np.sum(1 / c)) + 1e-6 * random_tangent(rng, m) / m
+            want = eigenbasis_stationarity_norm(rho, c)
+            assert abs(stationarity_norm(rho, c) - want) <= 1e-8 * want
+
     def test_zero_at_barycenter_with_constant_cost(self):
         m = 3
         rho = np.eye(m, dtype=complex) / m
