@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
     python3 benchmarks/record.py --seeds 61-70 --checkout ../parent --checkout .
 
 Each ``--checkout`` (default: this one) is measured with its own
-``perfbench/run.py`` and ``src/``, untraced, one run per workload and seed.
+``perfbench/run.py`` and ``src/``, untraced, one 25 s run per workload and
+seed, so that every entry in the record is measured the same way.
 With several checkouts the runs alternate: for each seed and workload every
 checkout runs once, and the order is reversed from one seed to the next, so
 that drift in machine speed falls on both sides.  One entry per checkout is
@@ -29,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_perfbench.json"
 WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
+SECONDS = 25
 
 
 def parse_seeds(tokens: list[str]) -> list[int]:
@@ -49,10 +51,10 @@ def revision(checkout: Path) -> str:
     return rev + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One untraced perfbench run; returns its (report, result) lines."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     report, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     return report, result
@@ -81,21 +83,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
     ap.add_argument("--checkout", action="append", type=Path,
                     help="checkout to measure; repeat to alternate between several")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="workload to run; repeatable (default: all four)")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--label", default="", help="free text stored with each entry")
     args = ap.parse_args(argv)
     checkouts = [c.resolve() for c in (args.checkout or [ROOT])]
-    workloads = args.workload or list(WORKLOADS)
     seeds = parse_seeds(args.seeds)
     revisions = [revision(c) for c in checkouts]
 
-    runs = {(c, w): [] for c in checkouts for w in workloads}
+    runs = {(c, w): [] for c in checkouts for w in WORKLOADS}
     for i, seed in enumerate(seeds):
-        for workload in workloads:
+        for workload in WORKLOADS:
             for checkout in (checkouts if i % 2 == 0 else checkouts[::-1]):
-                report, result = run_once(checkout, workload, seed, args.seconds)
+                report, result = run_once(checkout, workload, seed)
                 runs[checkout, workload].append((report, result))
                 rate = result["metrics"]["runs_per_s"]["value"]
                 print(f"{checkout.name} {workload} seed {seed}: {rate:.3f} runs/s",
@@ -108,11 +106,11 @@ def main(argv=None) -> int:
             "label": args.label,
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {SECONDS} --trace 0",
             "seeds": seeds,
             "run_order": "alternating" if len(checkouts) > 1 else "single",
-            "machine": runs[checkout, workloads[0]][0][0]["machine"],
-            "workloads": {w: summarize(runs[checkout, w]) for w in workloads},
+            "machine": runs[checkout, WORKLOADS[0]][0][0]["machine"],
+            "workloads": {w: summarize(runs[checkout, w]) for w in WORKLOADS},
         })
     RECORD.write_text(json.dumps(entries, indent=1) + "\n")
     return 0

@@ -74,7 +74,6 @@ def stationarity_norm(rho, c) -> float:
     cancels away most digits near a fixed point.
     """
     mf = m_operator_K(rho, c)
-    rho = np.asarray(rho, dtype=np.complex128)
     a = mf - np.vdot(mf, rho).real * np.eye(mf.shape[0])
     val = np.vdot(a, a @ rho).real
     return float(np.sqrt(max(val, 0.0)))

@@ -59,9 +59,9 @@ def random_lp_cost(rng, m: int, gap: float = 0.2) -> np.ndarray:
 
     The projective-scaling flow reaches the optimal vertex from the barycenter
     when the smallest cost is negative; with an all-positive cost the interior
-    harmonic point attracts instead.  Draws are rejection-sampled; after
-    ``LP_COST_ATTEMPTS`` rejections (likely from m of about 20 on, where 1 draw
-    in 4,000 is accepted) the vector is built directly by ``_spaced_cost``.
+    harmonic point attracts instead.  Draws are rejection-sampled; the
+    acceptance rate falls fast with m (1 draw in 4,000 at m = 20), so after
+    ``LP_COST_ATTEMPTS`` rejections a ``ContractError`` is raised.
     """
     for _ in range(LP_COST_ATTEMPTS):
         c = random_cost(rng, m, low=LP_COST_LOW, high=LP_COST_HIGH)
@@ -70,28 +70,7 @@ def random_lp_cost(rng, m: int, gap: float = 0.2) -> np.ndarray:
         d = np.sort(c)
         if np.min(np.diff(d)) >= gap:
             return c
-    return _spaced_cost(rng, m, gap)
-
-
-def _spaced_cost(rng, m: int, gap: float) -> np.ndarray:
-    """m values of ±[LP_COST_LOW, LP_COST_HIGH] at least ``gap`` apart, with a
-    negative minimum, in random order.
-
-    The two signed ranges are laid end to end as u in [0, 2 (high - low)]; m
-    sorted uniform draws from a range shortened by (m - 1) gap, shifted by
-    k gap for the k-th, are gap apart in u, and so in value: the join of the
-    ranges only widens a gap.
-    """
-    width = LP_COST_HIGH - LP_COST_LOW
-    # a few ulps of the largest value on top of gap keep the rounded values apart
-    step = gap + 16 * np.finfo(np.float64).eps * LP_COST_HIGH
-    slack = 2.0 * width - (m - 1) * step
-    if slack < 0:
-        raise ContractError(
-            f"no {m} costs in ±[{LP_COST_LOW:g}, {LP_COST_HIGH:g}] are pairwise {gap:g} apart"
-        )
-    u = np.sort(rng.uniform(0.0, slack, m)) + step * np.arange(m)
-    c = np.where(u < width, u - LP_COST_HIGH, u - width + LP_COST_LOW)
-    if c.min() > 0:
-        c[0] *= -1.0
-    return rng.permutation(c)
+    raise ContractError(
+        f"no cost vector of length m={m} with pairwise gap {gap:g} "
+        f"in {LP_COST_ATTEMPTS} draws"
+    )
