@@ -4,14 +4,12 @@ realizing the projective-scaling flow for linear programming on the simplex."""
 from ._kernels import BACKEND
 from .errors import ContractError, NumericError, QisflowError, RegularityError
 from .gradient import (
-    PotentialCallback,
     cost_vector,
     flow_field_K,
     grad_K,
     grad_general,
     m_operator_K,
     potential_K,
-    potential_callback_K,
 )
 from .integrate import (
     FlowTrajectory,
@@ -24,7 +22,6 @@ from .integrate import (
 )
 from .lift import (
     TupleState,
-    alpha_matrix,
     ambient_metric,
     horizontal_lift,
     lift_point,
@@ -37,7 +34,6 @@ from .lift import (
     vertical_project,
 )
 from .qis_core import (
-    SpectralDecomp,
     check_density,
     check_tangent,
     d_metric,

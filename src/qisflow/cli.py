@@ -35,8 +35,16 @@ def _add_run_args(sub):
     sub.add_argument("--seed", type=int, help="seed for random initial states")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means numeric failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qisflow",
         description="Gradient flows on the density-matrix manifold and the simplex.",
     )
@@ -58,11 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("QISFLOW_SEED")
-    return int(raw) if raw else None
-
-
 def _resolve_params(problem, args) -> IntegrationParams:
     kwargs = {}
     for f in dataclasses.fields(IntegrationParams):
@@ -71,14 +74,26 @@ def _resolve_params(problem, args) -> IntegrationParams:
     return IntegrationParams(**kwargs)
 
 
-def _seed_override(args) -> int | None:
-    return args.seed if args.seed is not None else _env_seed()
+def _seed(args) -> int | None:
+    """The seed given by --seed, else by QISFLOW_SEED, else None."""
+    source, raw = "--seed", args.seed
+    if raw is None:
+        source, raw = "QISFLOW_SEED", os.environ.get("QISFLOW_SEED")
+        if not raw:
+            return None
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ContractError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def cmd_solve_lp(args) -> int:
     problem = load_problem(args.problem)
     params = _resolve_params(problem, args)
-    seed = _seed_override(args)
+    seed = _seed(args)
     if args.simplex:
         traj = integrate_simplex(initial_simplex(problem, seed), problem.c, params)
         final = np.asarray(traj.final_state)
@@ -105,7 +120,7 @@ def cmd_flow(args) -> int:
     problem = load_problem(args.problem)
     params = _resolve_params(problem, args)
     traj = integrate_matrix(
-        initial_density(problem, _seed_override(args)), problem.c, params
+        initial_density(problem, _seed(args)), problem.c, params
     )
     rho0 = traj.states[0]
     comm = [
@@ -121,8 +136,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    results = run_suite(args.suite, seed, args.count)
+    results = run_suite(args.suite, _seed(args) or 0, args.count)
     ok = True
     for res in results:
         status = "pass" if res.passed else "FAIL"

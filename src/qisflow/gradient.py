@@ -7,9 +7,6 @@ K(rho) = tr(C rho^2)/2 with C = diag(c) is shipped explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import ContractError
@@ -26,18 +23,6 @@ def cost_vector(c) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ContractError("cost vector entries must be finite")
     return c
-
-
-@dataclass(frozen=True)
-class PotentialCallback:
-    """A potential together with its matrix of Wirtinger derivatives.
-
-    ``value(rho)`` evaluates the potential; ``m_of(rho)`` returns the Hermitian
-    derivative matrix fed to ``grad_general``.
-    """
-
-    value: Callable[[np.ndarray], float]
-    m_of: Callable[[np.ndarray], np.ndarray]
 
 
 def grad_general(rho, mf) -> np.ndarray:
@@ -90,15 +75,6 @@ def _grad_K(rho, c) -> np.ndarray:
 def flow_field_K(rho, c) -> np.ndarray:
     """Right-hand side of the gradient flow: d rho/dt = -grad_K(rho)."""
     return -grad_K(rho, c)
-
-
-def potential_callback_K(c) -> PotentialCallback:
-    """Package the quadratic potential for use with ``grad_general``."""
-    c = cost_vector(c)
-    return PotentialCallback(
-        value=lambda rho: potential_K(rho, c),
-        m_of=lambda rho: m_operator_K(rho, c),
-    )
 
 
 def _check_cost_dim(rho: np.ndarray, c: np.ndarray) -> None:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegularityError
-from .qis_core import DEFAULT_EIG_FLOOR, _as_square, check_tangent, spectral_decompose
-
-NORM_TOL = 1e-12
+from .qis_core import DEFAULT_EIG_FLOOR, _as_square, check_tangent, sld, spectral_decompose
 
 
 def min_qubits(m: int) -> int:
@@ -28,22 +26,14 @@ def min_qubits(m: int) -> int:
 
 @dataclass(frozen=True)
 class TupleState:
-    """A unit-norm 2^n x m tuple, optionally with the factorization
-    phi = g [sqrt(m) sqrt(Theta); 0] h† it was built from."""
+    """A unit-norm 2^n x m tuple."""
 
     phi: np.ndarray
     n: int
-    g: np.ndarray | None = None
-    h: np.ndarray | None = None
-    theta: np.ndarray | None = None
 
     @property
     def m(self) -> int:
         return self.phi.shape[1]
-
-    @property
-    def has_factorization(self) -> bool:
-        return self.g is not None and self.h is not None and self.theta is not None
 
 
 def tuple_state(phi, n: int) -> TupleState:
@@ -85,50 +75,29 @@ def lift_point(rho, n: int | None = None, g: np.ndarray | None = None) -> TupleS
     rows = 1 << n
     if rows < m:
         raise ContractError(f"need 2^n >= m, got 2^{n} < {m}")
-    dec = spectral_decompose(rho)
-    if g is None:
-        g = np.eye(rows, dtype=np.complex128)
-    else:
+    theta, h = spectral_decompose(rho)
+    phi = np.zeros((rows, m), dtype=np.complex128)
+    phi[:m, :] = np.sqrt(m) * np.diag(np.sqrt(theta)) @ h.conj().T
+    if g is not None:
         g = _as_square(g, "g")
         if g.shape[0] != rows:
             raise ContractError(f"g must be {rows}x{rows}, got {g.shape}")
         if np.max(np.abs(g.conj().T @ g - np.eye(rows))) > 1e-10:
             raise ContractError("g is not unitary")
-    block = np.zeros((rows, m), dtype=np.complex128)
-    block[:m, :] = np.sqrt(m) * np.diag(np.sqrt(dec.theta))
-    phi = g @ block @ dec.h.conj().T
-    return TupleState(phi=phi, n=n, g=g, h=dec.h, theta=dec.theta)
-
-
-def alpha_matrix(theta, chi) -> np.ndarray:
-    """Anti-Hermitian correction entering the horizontal lift:
-    entry (j,k) is ((theta_j - theta_k)/(theta_j + theta_k)) chi_jk."""
-    theta = np.asarray(theta, dtype=np.float64)
-    chi = _as_square(chi, "chi")
-    if np.any(theta <= 0.0):
-        raise ContractError("theta entries must be strictly positive")
-    num = theta[:, None] - theta[None, :]
-    den = theta[:, None] + theta[None, :]
-    return (num / den) * chi
+        phi = g @ phi
+    return TupleState(phi=phi, n=n)
 
 
 def horizontal_lift(state: TupleState, xi) -> np.ndarray:
-    """Horizontal lift of a tangent vector to the fiber point of ``state``.
+    """Horizontal lift X = (1/2) Phi L of a tangent xi, L = sld(pi(Phi), xi).
 
-    Requires the (g, h, theta) factorization recorded by ``lift_point``.
-    """
-    if not isinstance(state, TupleState) or not state.has_factorization:
-        raise ContractError("horizontal_lift needs a TupleState produced by lift_point")
+    X pushes forward to (L rho + rho L)/2 = xi and Phi X† is Hermitian (Uhlmann's
+    parallel transport); its ambient norm is one quarter of the SLD metric."""
     xi = check_tangent(xi)
-    m = state.m
+    phi, m = state.phi, state.m
     if xi.shape[0] != m:
         raise ContractError(f"tangent dimension {xi.shape[0]} does not match m={m}")
-    chi = state.h.conj().T @ xi @ state.h
-    alpha = alpha_matrix(state.theta, chi)
-    top = (chi + alpha) / np.sqrt(state.theta)[:, None]
-    block = np.zeros_like(state.phi)
-    block[:m, :] = 0.5 * np.sqrt(m) * top
-    return state.g @ block @ state.h.conj().T
+    return 0.5 * phi @ sld(phi.conj().T @ phi / m, xi)
 
 
 def ambient_metric(x, x2) -> float:

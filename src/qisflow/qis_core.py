@@ -7,8 +7,6 @@ validators never modify their input and raise on contract violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, NumericError, RegularityError
@@ -73,23 +71,9 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ContractError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendecomposition rho = h diag(theta) h†, eigenvalues ascending."""
-
-    h: np.ndarray
-    theta: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.h * self.theta) @ self.h.conj().T
-
-
-def spectral_decompose(rho, floor: float = DEFAULT_EIG_FLOOR) -> SpectralDecomp:
-    """Diagonalize a density matrix; eigenvalues ascending, columns reordered to match."""
+def spectral_decompose(rho, floor: float = DEFAULT_EIG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a density matrix as ``np.linalg.eigh`` does: (theta, h) with
+    rho = h diag(theta) h†, eigenvalues ascending, all above ``floor``."""
     rho = _as_square(rho, "rho")
     try:
         theta, h = np.linalg.eigh(rho)
@@ -99,7 +83,7 @@ def spectral_decompose(rho, floor: float = DEFAULT_EIG_FLOOR) -> SpectralDecomp:
         raise RegularityError(
             f"eigenvalue {theta[0]:.3e} at or below positivity floor {floor:.1e}"
         )
-    return SpectralDecomp(h=h, theta=theta)
+    return theta, h
 
 
 def sld(rho, xi) -> np.ndarray:
@@ -111,11 +95,11 @@ def sld(rho, xi) -> np.ndarray:
     rho = _as_square(rho, "rho")
     xi = _as_square(xi, "xi")
     _same_dim(rho, xi)
-    dec = spectral_decompose(rho)
-    chi = dec.h.conj().T @ xi @ dec.h
-    denom = dec.theta[:, None] + dec.theta[None, :]
+    theta, h = spectral_decompose(rho)
+    chi = h.conj().T @ xi @ h
+    denom = theta[:, None] + theta[None, :]
     l_hat = 2.0 * chi / denom
-    return dec.h @ l_hat @ dec.h.conj().T
+    return h @ l_hat @ h.conj().T
 
 
 def qf_metric(rho, xi, xi2) -> float:
@@ -125,11 +109,11 @@ def qf_metric(rho, xi, xi2) -> float:
     xi2 = _as_square(xi2, "xi2")
     _same_dim(rho, xi)
     _same_dim(rho, xi2)
-    dec = spectral_decompose(rho)
-    hc = dec.h.conj().T
-    chi = hc @ xi @ dec.h
-    chi2 = hc @ xi2 @ dec.h
-    denom = dec.theta[:, None] + dec.theta[None, :]
+    theta, h = spectral_decompose(rho)
+    hc = h.conj().T
+    chi = hc @ xi @ h
+    chi2 = hc @ xi2 @ h
+    denom = theta[:, None] + theta[None, :]
     val = 2.0 * np.sum(chi.conj() * chi2 / denom)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise NumericError(f"metric value has imaginary residue {val.imag:.3e}")

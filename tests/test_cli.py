@@ -410,6 +410,49 @@ class TestExitCodes:
         assert main(["solve-lp", str(prob), "-o", str(tmp_path / "t.csv"), *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-lp", "p.yaml", "-o", "t.csv", "--step", "abc"],
+         "argument --step: invalid float value: 'abc'"),
+        (["solve-lp", "p.yaml", "-o", "t.csv", "--record-every", "2.5"],
+         "argument --record-every: invalid int value: '2.5'"),
+        (["verify", "all", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["verify", "all", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["step-abc", "record-every-float", "verify-seed-float", "unknown-flag",
+            "no-subcommand"])
+    def test_usage_error_is_validation_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qisflow")
+        assert f"error: {message}\n" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qisflow")
+
+    @pytest.mark.parametrize("command, env, source", [
+        (["verify", "all", "--count", "1", "--seed", "-1"], None, "--seed"),
+        (["solve-lp", "--seed", "-1"], None, "--seed"),
+        (["verify", "all", "--count", "1"], "abc", "QISFLOW_SEED"),
+        (["solve-lp"], "-3", "QISFLOW_SEED"),
+    ], ids=["verify-flag-negative", "solve-lp-flag-negative", "env-abc", "env-negative"])
+    def test_bad_seed_outside_problem_file(self, tmp_path, capsys, monkeypatch,
+                                          command, env, source):
+        if env is not None:
+            monkeypatch.setenv("QISFLOW_SEED", env)
+        if command[0] == "solve-lp":
+            prob = write_problem(tmp_path / "p.yaml", {
+                "m": 3, "c": [-2.0, 1.0, -1.0], "init": "random",
+            })
+            command = [*command, prob, "-o", str(tmp_path / "t.csv")]
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source} must be a non-negative integer, got ")
+
     def test_invalid_init_state(self, tmp_path, capsys):
         prob = write_problem(tmp_path / "p.yaml", {
             "m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.9, 0.2]},

@@ -9,7 +9,6 @@ from qisflow import (
     grad_general,
     m_operator_K,
     potential_K,
-    potential_callback_K,
     qf_metric,
 )
 from qisflow.randstate import random_cost, random_density, random_tangent
@@ -208,14 +207,3 @@ class TestFlowField:
         field = flow_field_K(np.diag(x).astype(complex), c)
         assert np.max(np.abs(np.diag(field).real - karmarkar_field(x, c))) < 1e-14
 
-
-class TestPotentialCallback:
-    def test_packaged_quadratic_potential(self):
-        rng = np.random.default_rng(19)
-        c = random_cost(rng, 3)
-        cb = potential_callback_K(c)
-        rho = random_density(rng, 3)
-        assert cb.value(rho) == potential_K(rho, c)
-        mf = cb.m_of(rho)
-        assert np.max(np.abs(mf - mf.conj().T)) < 1e-12
-        assert np.allclose(grad_general(rho, mf), grad_K(rho, c))

@@ -4,7 +4,7 @@ import pytest
 from qisflow import (
     ContractError,
     RegularityError,
-    alpha_matrix,
+    TupleState,
     ambient_metric,
     horizontal_lift,
     lift_point,
@@ -19,6 +19,40 @@ from qisflow import (
 )
 from qisflow.lift import random_vertical
 from qisflow.randstate import random_density, random_tangent, random_unitary
+
+
+def alpha_matrix(theta, chi):
+    """Anti-Hermitian correction of the paper's horizontal lift:
+    entry (j,k) is ((theta_j - theta_k)/(theta_j + theta_k)) chi_jk."""
+    num = theta[:, None] - theta[None, :]
+    den = theta[:, None] + theta[None, :]
+    return (num / den) * chi
+
+
+def alpha_lift(theta, h, g, xi):
+    """The paper's horizontal lift, the oracle for ``horizontal_lift``: at
+    phi = g [sqrt(m) sqrt(Theta); 0] h† it is
+    g [(sqrt(m)/2) Theta^(-1/2) (chi + alpha); 0] h† with chi = h† xi h.
+    It needs the factorization of phi and never forms an SLD."""
+    m = theta.shape[0]
+    chi = h.conj().T @ xi @ h
+    block = np.zeros((g.shape[0], m), dtype=complex)
+    block[:m] = 0.5 * np.sqrt(m) * (chi + alpha_matrix(theta, chi)) / np.sqrt(theta)[:, None]
+    return g @ block @ h.conj().T
+
+
+def alpha_lift_at(rho, g, xi):
+    """``alpha_lift`` at the fiber point ``lift_point(rho, n, g)``."""
+    theta, h = np.linalg.eigh(rho)
+    return alpha_lift(theta, h, g, xi)
+
+
+def random_lift_case(rng):
+    """m in 2..8, n = ceil(log2 m) or one more, a random g: (rho, n, g, xi, xi2)."""
+    m = int(rng.integers(2, 9))
+    n = min_qubits(m) + int(rng.integers(0, 2))
+    return (random_density(rng, m), n, random_unitary(rng, 1 << n),
+            random_tangent(rng, m), random_tangent(rng, m))
 
 
 def brute_force_alpha_2x2(theta, chi):
@@ -134,13 +168,10 @@ class TestHorizontalLift:
         assert np.max(np.abs(res)) < 1e-10
 
     def test_maximally_mixed_diagonal_tangent(self):
-        m = 2
-        rho = np.eye(m, dtype=complex) / m
+        # Phi = I and L = 2 xi at rho = I/2, so the lift is xi itself
         xi = np.diag([0.3, -0.3]).astype(complex)
-        state = lift_point(rho, n=1)
-        block = np.sqrt(m) * xi
-        expected = 0.5 * np.sqrt(m) * state.g @ block @ state.h.conj().T
-        assert np.max(np.abs(horizontal_lift(state, xi) - expected)) < 1e-12
+        state = lift_point(np.eye(2, dtype=complex) / 2, n=1)
+        assert np.max(np.abs(horizontal_lift(state, xi) - xi)) < 1e-12
 
     def test_real_linearity(self):
         rng = np.random.default_rng(6)
@@ -152,26 +183,49 @@ class TestHorizontalLift:
         rhs = a * horizontal_lift(state, x1) + b * horizontal_lift(state, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    def test_requires_factorization(self):
+    def test_bare_tuple_state(self):
         rng = np.random.default_rng(7)
-        state = lift_point(random_density(rng, 2), n=1)
-        bare = tuple_state(state.phi, 1)
-        with pytest.raises(ContractError):
-            horizontal_lift(bare, random_tangent(rng, 2))
+        for _ in range(20):
+            m = int(rng.integers(2, 9))
+            n = min_qubits(m) + int(rng.integers(0, 2))
+            phi = random_ambient(rng, 1 << n, m)
+            phi *= np.sqrt(m / np.trace(phi.conj().T @ phi).real)
+            state = tuple_state(phi, n)
+            xi = random_tangent(rng, m)
+            lifted = horizontal_lift(state, xi)
+            assert np.max(np.abs(pi_differential(phi, lifted) - xi)) < 1e-9
+            hor = phi @ lifted.conj().T - lifted @ phi.conj().T
+            assert np.max(np.abs(hor)) < 1e-10
+            # phi = u [s; 0] v† is the factorization with g = u, h = v, theta = s^2/m
+            u, sv, vh = np.linalg.svd(phi)
+            expected = alpha_lift(sv**2 / m, vh.conj().T, u, xi)
+            assert np.max(np.abs(lifted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_matches_alpha_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            rho, n, g, xi, _ = random_lift_case(rng)
+            lifted = horizontal_lift(lift_point(rho, n=n, g=g), xi)
+            expected = alpha_lift_at(rho, g, xi)
+            assert np.max(np.abs(lifted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_rank_deficient_fiber_point_rejected(self):
+        phi = np.zeros((4, 2), dtype=complex)
+        phi[0, 0] = np.sqrt(2.0)
+        with pytest.raises(RegularityError):
+            horizontal_lift(TupleState(phi, 2), np.diag([0.1, -0.1]).astype(complex))
 
 
 class TestRMetric:
     def test_eigenbasis_closed_form(self):
         rng = np.random.default_rng(8)
-        from qisflow import spectral_decompose
-
         for _ in range(10):
             rho = random_density(rng, 3)
             xi, xi2 = random_tangent(rng, 3), random_tangent(rng, 3)
-            dec = spectral_decompose(rho)
-            chi = dec.h.conj().T @ xi @ dec.h
-            chi2 = dec.h.conj().T @ xi2 @ dec.h
-            denom = dec.theta[:, None] + dec.theta[None, :]
+            theta, h = np.linalg.eigh(rho)
+            chi = h.conj().T @ xi @ h
+            chi2 = h.conj().T @ xi2 @ h
+            denom = theta[:, None] + theta[None, :]
             closed = 0.5 * np.sum(chi.conj() * chi2 / denom).real
             assert abs(r_metric(rho, xi, xi2, n=2) - closed) < 1e-10
 
@@ -184,6 +238,15 @@ class TestRMetric:
             assert qf_metric(rho, xi, xi2) == pytest.approx(
                 4 * r_metric(rho, xi, xi2, n=2), abs=1e-10
             )
+
+    def test_alpha_oracle_is_quarter_of_fisher_metric(self):
+        # criterion 1 through the paper's lift, with no SLD on the reduced side
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            rho, n, g, xi, xi2 = random_lift_case(rng)
+            r = ambient_metric(alpha_lift_at(rho, g, xi), alpha_lift_at(rho, g, xi2))
+            qf = qf_metric(rho, xi, xi2)
+            assert abs(qf - 4 * r) <= 1e-9 * max(abs(qf), 1e-12)
 
     def test_zero_argument(self):
         rng = np.random.default_rng(10)

@@ -48,22 +48,22 @@ class TestValidation:
 
 class TestSpectralDecompose:
     def test_maximally_mixed(self):
-        dec = spectral_decompose(np.eye(3, dtype=complex) / 3)
-        assert np.allclose(dec.theta, 1 / 3)
-        assert np.allclose(dec.h @ dec.h.conj().T, np.eye(3))
+        theta, h = spectral_decompose(np.eye(3, dtype=complex) / 3)
+        assert np.allclose(theta, 1 / 3)
+        assert np.allclose(h @ h.conj().T, np.eye(3))
 
     def test_diagonal_reordered_ascending(self):
-        dec = spectral_decompose(np.diag([0.75, 0.25]).astype(complex))
-        assert np.allclose(dec.theta, [0.25, 0.75])
-        assert np.allclose(np.abs(dec.h), [[0, 1], [1, 0]])
+        theta, h = spectral_decompose(np.diag([0.75, 0.25]).astype(complex))
+        assert np.allclose(theta, [0.25, 0.75])
+        assert np.allclose(np.abs(h), [[0, 1], [1, 0]])
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(1)
         rho = random_density(rng, 3)
-        dec = spectral_decompose(rho)
-        assert np.max(np.abs(dec.reconstruct() - rho)) < 1e-10
-        assert abs(dec.theta.sum() - 1) < 1e-10
-        assert np.all(dec.theta > 0)
+        theta, h = spectral_decompose(rho)
+        assert np.max(np.abs(h @ np.diag(theta) @ h.conj().T - rho)) < 1e-10
+        assert abs(theta.sum() - 1) < 1e-10
+        assert np.all(theta > 0)
 
     def test_regularity_floor(self):
         rho = np.diag([1.0 - 1e-13, 1e-13]).astype(complex)
