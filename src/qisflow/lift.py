@@ -4,6 +4,10 @@ A point upstairs is a 2^n x m complex matrix of unit norm; projecting by
 (1/m) Phi† Phi recovers a density matrix.  Tangent vectors split into a
 vertical part (along unitary orbits) and a horizontal part; the reduced
 metric of horizontal lifts reproduces the SLD Fisher metric up to a factor 4.
+
+``lift_point`` (with a single or a stacked ``g``), ``horizontal_lift``,
+``ambient_metric``, ``pi_differential``, ``r_metric`` and ``TupleState.m``
+also take stacks, with leading axes as in ``qis_core``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegularityError
-from .qis_core import DEFAULT_EIG_FLOOR, _as_square, check_tangent, sld, spectral_decompose
+from .qis_core import (
+    DEFAULT_EIG_FLOOR,
+    _as_squares,
+    _dagger,
+    _same_dim,
+    _scalar,
+    check_tangent,
+    sld,
+    spectral_decompose,
+)
+from .randstate import random_anti_hermitian
 
 
 def min_qubits(m: int) -> int:
@@ -26,14 +40,14 @@ def min_qubits(m: int) -> int:
 
 @dataclass(frozen=True)
 class TupleState:
-    """A unit-norm 2^n x m tuple."""
+    """A unit-norm 2^n x m tuple, or a stack of them (..., 2^n, m)."""
 
     phi: np.ndarray
     n: int
 
     @property
     def m(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
 
 def tuple_state(phi, n: int) -> TupleState:
@@ -67,22 +81,24 @@ def project_pi(state) -> np.ndarray:
 
 
 def lift_point(rho, n: int | None = None, g: np.ndarray | None = None) -> TupleState:
-    """Lift a density matrix: phi = g [sqrt(m) sqrt(Theta); 0] h†, default g = I."""
-    rho = _as_square(rho, "rho")
-    m = rho.shape[0]
+    """Lift a density matrix: phi = g [sqrt(m) sqrt(Theta); 0] h†, default g = I.
+
+    A stack of rho lifts member by member, with one g for all or one per member."""
+    rho = _as_squares(rho, "rho")
+    m = rho.shape[-1]
     if n is None:
         n = min_qubits(m)
     rows = 1 << n
     if rows < m:
         raise ContractError(f"need 2^n >= m, got 2^{n} < {m}")
     theta, h = spectral_decompose(rho)
-    phi = np.zeros((rows, m), dtype=np.complex128)
-    phi[:m, :] = np.sqrt(m) * np.diag(np.sqrt(theta)) @ h.conj().T
+    phi = np.zeros(rho.shape[:-2] + (rows, m), dtype=np.complex128)
+    phi[..., :m, :] = np.sqrt(m) * np.sqrt(theta)[..., :, None] * _dagger(h)
     if g is not None:
-        g = _as_square(g, "g")
-        if g.shape[0] != rows:
+        g = _as_squares(g, "g")
+        if g.shape[-1] != rows:
             raise ContractError(f"g must be {rows}x{rows}, got {g.shape}")
-        if np.max(np.abs(g.conj().T @ g - np.eye(rows))) > 1e-10:
+        if np.max(np.abs(_dagger(g) @ g - np.eye(rows))) > 1e-10:
             raise ContractError("g is not unitary")
         phi = g @ phi
     return TupleState(phi=phi, n=n)
@@ -95,34 +111,37 @@ def horizontal_lift(state: TupleState, xi) -> np.ndarray:
     parallel transport); its ambient norm is one quarter of the SLD metric."""
     xi = check_tangent(xi)
     phi, m = state.phi, state.m
-    if xi.shape[0] != m:
-        raise ContractError(f"tangent dimension {xi.shape[0]} does not match m={m}")
-    return 0.5 * phi @ sld(phi.conj().T @ phi / m, xi)
+    if xi.shape[-1] != m:
+        raise ContractError(f"tangent dimension {xi.shape[-1]} does not match m={m}")
+    return 0.5 * phi @ sld(_dagger(phi) @ phi / m, xi)
 
 
-def ambient_metric(x, x2) -> float:
+def ambient_metric(x, x2):
     """Real inner product upstairs: (1/m) Re tr(X† X')."""
     x = np.asarray(x, dtype=np.complex128)
     x2 = np.asarray(x2, dtype=np.complex128)
     if x.shape != x2.shape:
         raise ContractError(f"shape mismatch: {x.shape} vs {x2.shape}")
-    m = x.shape[1]
-    return float(np.trace(x.conj().T @ x2).real / m)
+    m = x.shape[-1]
+    return _scalar(np.trace(_dagger(x) @ x2, axis1=-2, axis2=-1).real / m)
 
 
 def pi_differential(phi, x) -> np.ndarray:
     """Differential of the projection along a tangent: (1/m)(X† Phi + Phi† X)."""
     phi = np.asarray(phi, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    m = phi.shape[1]
-    return (x.conj().T @ phi + phi.conj().T @ x) / m
+    m = phi.shape[-1]
+    return (_dagger(x) @ phi + _dagger(phi) @ x) / m
 
 
-def r_metric(rho, xi, xi2, n: int | None = None, g: np.ndarray | None = None) -> float:
-    """Reduced metric: ambient inner product of the horizontal lifts of xi, xi2."""
+def r_metric(rho, xi, xi2, n: int | None = None, g: np.ndarray | None = None):
+    """Reduced metric: ambient inner product of the horizontal lifts of xi, xi2.
+
+    Both tangents are lifted in one call, so pi(Phi) is diagonalized once."""
     state = lift_point(rho, n=n, g=g)
-    lx = horizontal_lift(state, xi)
-    lx2 = horizontal_lift(state, xi2)
+    xi, xi2 = _as_squares(xi, "xi"), _as_squares(xi2, "xi2")
+    _same_dim(xi, xi2)
+    lx, lx2 = horizontal_lift(state, np.stack(np.broadcast_arrays(xi, xi2)))
     return ambient_metric(lx, lx2)
 
 
@@ -147,10 +166,7 @@ def vertical_project(phi, x) -> np.ndarray:
 def random_vertical(phi, rng) -> np.ndarray:
     """A random vertical vector eta Phi with eta random anti-Hermitian."""
     phi = np.asarray(phi, dtype=np.complex128)
-    dim = phi.shape[0]
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    eta = 0.5 * (a - a.conj().T)
-    return eta @ phi
+    return random_anti_hermitian(rng, phi.shape[0]) @ phi
 
 
 def vertical_component_check(state, x, rng) -> float:

@@ -47,6 +47,12 @@ def random_tangent(rng, m: int) -> np.ndarray:
     return a - (np.trace(a).real / m) * np.eye(m)
 
 
+def random_anti_hermitian(rng, dim: int) -> np.ndarray:
+    """Random anti-Hermitian matrix (A - A†)/2, A complex Gaussian."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (a - a.conj().T)
+
+
 def random_cost(rng, m: int, low: float = 0.5, high: float = 6.0) -> np.ndarray:
     """Random nonvanishing cost vector with mixed signs, |c_j| in [low, high]."""
     mag = rng.uniform(low, high, m)

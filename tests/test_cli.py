@@ -1,4 +1,5 @@
 import csv
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -458,6 +459,20 @@ class TestExitCodes:
             "m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.9, 0.2]},
         })
         assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("command, init, what", [
+        (command, {"diagonal": diagonal}, "simplex point")
+        for command in (["solve-lp"], ["solve-lp", "--simplex"], ["flow"])
+        for diagonal in ([nan, nan], [nan, 1.0], [inf, -inf])
+    ] + [
+        (command, {"matrix": {"real": [[a, 0.0], [0.0, b]]}}, "density matrix")
+        for command in (["solve-lp"], ["flow"])
+        for a, b in ((nan, nan), (inf, -inf))
+    ])
+    def test_non_finite_init_is_validation_error(self, tmp_path, capsys, command, init, what):
+        prob = write_problem(tmp_path / "p.yaml", {"m": 2, "c": [1.0, -2.0], "init": init})
+        assert main([command[0], prob, "-o", str(tmp_path / "t.csv"), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {what} has non-finite entries\n"
 
     @pytest.mark.parametrize("command, doc", [
         pytest.param(["solve-lp"], {"m": 2, "c": [1e5, -1e5],

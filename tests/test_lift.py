@@ -254,6 +254,24 @@ class TestRMetric:
         xi = random_tangent(rng, 3)
         assert r_metric(rho, xi, np.zeros((3, 3), dtype=complex), n=2) == 0.0
 
+    @pytest.mark.parametrize("stack", [(), (5,)])
+    def test_two_eigendecompositions_per_call(self, monkeypatch, stack):
+        # one of rho in lift_point and one of pi(Phi), shared by both lifts
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        rng = np.random.default_rng(12)
+        cases = [(random_density(rng, 3), random_tangent(rng, 3), random_tangent(rng, 3))
+                 for _ in range(int(np.prod(stack)))]
+        rho, xi, xi2 = (np.reshape(column, stack + (3, 3)) for column in zip(*cases))
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        r_metric(rho, xi, xi2, n=2)
+        assert calls == [stack + (3, 3)] * 2
+
     def test_fiber_independence(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 3)

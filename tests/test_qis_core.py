@@ -45,6 +45,18 @@ class TestValidation:
         with pytest.raises(ContractError):
             check_tangent(np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("a, b", [(np.nan, np.nan), (np.inf, -np.inf)])
+    def test_check_density_rejects_non_finite(self, a, b):
+        with pytest.raises(ContractError, match="non-finite"):
+            check_density(np.diag([a, b]).astype(complex))
+        with pytest.raises(ContractError, match="non-finite"):
+            density_state(np.diag([a, b]))
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (np.inf, -np.inf)])
+    def test_check_tangent_rejects_non_finite(self, a, b):
+        with pytest.raises(ContractError, match="non-finite"):
+            check_tangent(np.diag([a, b]).astype(complex))
+
 
 class TestSpectralDecompose:
     def test_maximally_mixed(self):

@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(ContractError):
             check_simplex_tangent([1.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_point_must_be_finite(self, x):
+        with pytest.raises(ContractError, match="non-finite"):
+            check_simplex_point(x)
+
+    @pytest.mark.parametrize("u", [[np.nan, 1.0], [np.inf, -np.inf]])
+    def test_tangent_must_be_finite(self, u):
+        with pytest.raises(ContractError, match="non-finite"):
+            check_simplex_tangent(u)
+
 
 class TestSimplexMetric:
     def test_uniform_two_level(self):
