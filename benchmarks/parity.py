@@ -10,7 +10,11 @@ runs every call with each checkout's own ``src/`` in its own process:
 
 - LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``;
 - FLOW_PROBLEMS flow problems, each with ``--format csv`` and ``structured``;
-- ``verify all`` on VERIFY_SEEDS consecutive ``inputs.verify_seed`` values.
+- ``verify all`` on VERIFY_SEEDS consecutive ``inputs.verify_seed`` values;
+
+and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
+the costs of the first LP problems of the first seed, each with ``solve-lp``
+and ``solve-lp --simplex``, and those of its first flow problems with ``flow``.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes.  ``verify`` must agree in exit code and in each line's label,
@@ -34,6 +38,7 @@ SEEDS = (3, 7)
 LP_PROBLEMS = 60
 FLOW_PROBLEMS = 15
 VERIFY_SEEDS = 60
+RANDOM_INIT_SEEDS = 20
 
 # Runs each argv of the JSON list read from stdin through qisflow.cli.main in
 # this one process and prints a JSON list of [exit code, stdout] back.
@@ -52,6 +57,13 @@ for argv in json.load(sys.stdin):
     results.append([code, out.getvalue()])
 json.dump(results, sys.stdout)
 """
+
+
+def random_init(text: str, seed: int) -> str:
+    """A problem's text with ``init: random`` and ``seed`` in place of its init."""
+    head, _, rest = text.partition("init:\n")
+    params = rest[rest.index("params:"):] if "params:" in rest else ""
+    return f"{head}init: random\nseed: {seed}\n{params}"
 
 
 def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
@@ -79,6 +91,17 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
         for i in range(VERIFY_SEEDS):
             calls.append(("verify", ["verify", "all", "--seed",
                                      str(inputs.verify_seed(seed, i))], None))
+    for i in range(RANDOM_INIT_SEEDS):
+        path = workdir / f"lp-random-{i}.yaml"
+        path.write_text(random_init(inputs.lp_problem(SEEDS[0], i).text(), i))
+        for flag in ([], ["--simplex"]):
+            name = f"lp-random-{i}{'-simplex' if flag else ''}.csv"
+            calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
+                                       *flag], name))
+        path = workdir / f"flow-random-{i}.yaml"
+        path.write_text(random_init(inputs.flow_problem(SEEDS[0], i).text(), i))
+        name = f"flow-random-{i}.csv"
+        calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name], name))
     return calls
 
 

@@ -41,9 +41,15 @@ def potential_K(rho, c) -> float:
     rho = _as_square(rho, "rho")
     c = cost_vector(c)
     _check_cost_dim(rho, c)
+    return float(_potential_K(rho, c))
+
+
+def _potential_K(rho, c):
+    """``potential_K`` without validation, for stacks rho (..., m, m) and c (..., m)."""
     # np.sum over the diagonal (pairwise) so the diagonal restriction agrees
     # bit-exactly with the simplex potential
-    return 0.5 * float(np.sum(np.diag((c[:, None] * rho) @ rho).real))
+    d = np.diagonal((c[..., :, None] * rho) @ rho, axis1=-2, axis2=-1)
+    return 0.5 * np.sum(d.real, axis=-1)
 
 
 def m_operator_K(rho, c) -> np.ndarray:

@@ -17,7 +17,7 @@ import yaml
 from .errors import ContractError
 from .gradient import cost_vector
 from .integrate import FlowTrajectory, IntegrationParams
-from .qis_core import density_state
+from .qis_core import _check_finite, density_state
 from .randstate import random_density, random_simplex_point
 from .simplex import check_simplex_point
 
@@ -84,6 +84,9 @@ def load_problem(path) -> Problem:
                         block.get("imag", np.zeros((m, m))))
         if real.shape != (m, m) or imag.shape != (m, m):
             raise ContractError(f"{path}: init.matrix blocks must be {m}x{m}")
+        # checked before combining: inf * 1j would warn on its way to nan
+        _check_finite(real, "density matrix")
+        _check_finite(imag, "density matrix")
         kind, data = "matrix", real + 1j * imag
     else:
         raise ContractError(f"{path}: field 'init' has unsupported form")

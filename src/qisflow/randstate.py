@@ -1,5 +1,14 @@
 """Seeded generators for random states, tangents, and unitaries.
 
+Each generator is a draw and a shape.  The draw takes from ``rng`` what the
+instance needs, in a fixed order: a ``dirichlet`` spectrum where there is
+one, then all of the instance's Gaussians in one ``standard_normal`` call.
+The shape (``unitary_from``, ``density_from``, ``tangent_from``,
+``anti_hermitian_from``, ``simplex_point_from``, ``simplex_tangent_from``)
+turns raw draws into the instance and takes stacks, with leading axes, so a
+caller can draw many instances first and shape them in one call each; the
+result is the same, bit for bit, as shaping each instance alone.
+
 Eigenvalue spectra are kept away from the boundary (mixing with the uniform
 distribution) so metric values stay at a scale where the stated absolute
 tolerances are meaningful.
@@ -10,47 +19,83 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
+from .qis_core import _dagger
 
 LP_COST_LOW, LP_COST_HIGH = 0.5, 6.0
 LP_COST_ATTEMPTS = 1000
 
 
+def _complex(z: np.ndarray) -> np.ndarray:
+    """A + iB from Gaussian pairs z of shape (..., 2, m, m)."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def unitary_from(z: np.ndarray) -> np.ndarray:
+    """Haar-ish unitary Q of A + iB = QR, each column phased so diag(R) > 0."""
+    q, r = np.linalg.qr(_complex(z))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def simplex_point_from(x: np.ndarray, mix: float = 0.5) -> np.ndarray:
+    """Mix simplex points x (..., m) toward the barycenter."""
+    return (1.0 - mix) * x + mix / x.shape[-1]
+
+
+def simplex_tangent_from(u: np.ndarray) -> np.ndarray:
+    """Remove the mean of each vector u (..., m)."""
+    return u - u.mean(axis=-1, keepdims=True)
+
+
+def density_from(x: np.ndarray, z: np.ndarray, mix: float = 0.5) -> np.ndarray:
+    """(h theta) h† with theta = ``simplex_point_from(x, mix)``, h = ``unitary_from(z)``."""
+    theta = simplex_point_from(x, mix)
+    h = unitary_from(z)
+    return (h * theta[..., None, :]) @ _dagger(h)
+
+
+def tangent_from(z: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian part of A + iB."""
+    a = _complex(z)
+    a = 0.5 * (a + _dagger(a))
+    m = a.shape[-1]
+    return a - (np.trace(a, axis1=-2, axis2=-1).real / m)[..., None, None] * np.eye(m)
+
+
+def anti_hermitian_from(z: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian part (A - A†)/2 of A + iB."""
+    a = _complex(z)
+    return 0.5 * (a - _dagger(a))
+
+
 def random_unitary(rng, dim: int) -> np.ndarray:
     """Haar-ish unitary via QR of a complex Gaussian matrix."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return unitary_from(rng.standard_normal((2, dim, dim)))
 
 
 def random_simplex_point(rng, m: int, mix: float = 0.5) -> np.ndarray:
     """Random interior simplex point, mixed toward the barycenter."""
-    x = rng.dirichlet(np.ones(m))
-    return (1.0 - mix) * x + mix / m
+    return simplex_point_from(rng.dirichlet(np.ones(m)), mix)
 
 
 def random_simplex_tangent(rng, m: int) -> np.ndarray:
-    u = rng.standard_normal(m)
-    return u - u.mean()
+    return simplex_tangent_from(rng.standard_normal(m))
 
 
 def random_density(rng, m: int, mix: float = 0.5) -> np.ndarray:
     """Random regular density matrix with a well-conditioned spectrum."""
-    theta = random_simplex_point(rng, m, mix)
-    h = random_unitary(rng, m)
-    return (h * theta) @ h.conj().T
+    x = rng.dirichlet(np.ones(m))
+    return density_from(x, rng.standard_normal((2, m, m)), mix)
 
 
 def random_tangent(rng, m: int) -> np.ndarray:
     """Random traceless Hermitian matrix."""
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    a = 0.5 * (a + a.conj().T)
-    return a - (np.trace(a).real / m) * np.eye(m)
+    return tangent_from(rng.standard_normal((2, m, m)))
 
 
 def random_anti_hermitian(rng, dim: int) -> np.ndarray:
     """Random anti-Hermitian matrix (A - A†)/2, A complex Gaussian."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (a - a.conj().T)
+    return anti_hermitian_from(rng.standard_normal((2, dim, dim)))
 
 
 def random_cost(rng, m: int, low: float = 0.5, high: float = 6.0) -> np.ndarray:

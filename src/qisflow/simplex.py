@@ -65,7 +65,12 @@ def potential_kappa(x, c) -> float:
     x = np.asarray(x, dtype=np.float64)
     c = cost_vector(c)
     _same_len(x, c)
-    return 0.5 * float(np.sum(c * x * x))
+    return float(_potential_kappa(x, c))
+
+
+def _potential_kappa(x, c):
+    """``potential_kappa`` without validation, for stacks x, c (..., m)."""
+    return 0.5 * np.sum(c * x * x, axis=-1)
 
 
 def grad_kappa(x, c) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 Each suite returns a list of ``CheckResult`` records (identity label, max
 observed error over all cases, tolerance).  The CLI prints them; tests assert
-on them.  A suite draws its cases one by one from its seed, then checks each
-identity once per block of up to ``BLOCK`` stacked cases of one size.
+on them.  A suite draws the raw numbers of its cases one by one from its
+seed, in the order of the ``randstate.random_*`` calls of one case, stacks
+them into blocks of up to ``BLOCK`` cases of one size, shapes the instances
+once per block with the ``randstate`` shaping functions, and checks each
+identity once per block.  ``verify --seed k`` so checks exactly the instances
+that per-case ``random_*`` calls would draw.
 """
 
 from __future__ import annotations
@@ -13,20 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .gradient import grad_K, potential_K
+from .gradient import _potential_K, grad_K
 from .lift import ambient_metric, horizontal_lift, lift_point, pi_differential
 from .lift import r_metric as reduced_metric
-from .qis_core import _dagger, qf_metric
+from .qis_core import _dagger, _scalar, qf_metric
 from .randstate import (
-    random_anti_hermitian,
+    anti_hermitian_from,
+    density_from,
     random_cost,
-    random_density,
-    random_simplex_point,
-    random_simplex_tangent,
-    random_tangent,
-    random_unitary,
+    simplex_point_from,
+    simplex_tangent_from,
+    tangent_from,
+    unitary_from,
 )
-from .simplex import check_isometry, grad_kappa, potential_kappa, simplex_metric
+from .simplex import _potential_kappa, check_isometry, grad_kappa, simplex_metric
 
 # xi2 is traceless and u2 sums to zero, so both difference lines are exactly
 # quadratic and a central difference has no truncation error; only round-off
@@ -48,26 +52,27 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def fd_potential_derivative(rho, c, xi2, step: float = FD_STEP) -> float:
+def fd_potential_derivative(rho, c, xi2, step: float = FD_STEP):
     """Central finite difference of the cost potential along a trace-renormalized
-    line through rho in direction xi2."""
+    line through rho in direction xi2; one value per member of a stack."""
 
     def at(t):
         g = rho + t * xi2
-        g = g / np.trace(g).real
-        return potential_K(g, c)
+        g = g / np.trace(g, axis1=-2, axis2=-1).real[..., None, None]
+        return _potential_K(g, c)
 
-    return (at(step) - at(-step)) / (2.0 * step)
+    return _scalar((at(step) - at(-step)) / (2.0 * step))
 
 
-def fd_kappa_derivative(x, c, u2, step: float = FD_STEP) -> float:
-    """Central finite difference of kappa along a sum-renormalized line."""
+def fd_kappa_derivative(x, c, u2, step: float = FD_STEP):
+    """Central finite difference of kappa along a sum-renormalized line; one
+    value per member of a stack."""
 
     def at(t):
         y = x + t * u2
-        return potential_kappa(y / y.sum(), c)
+        return _potential_kappa(y / y.sum(axis=-1, keepdims=True), c)
 
-    return (at(step) - at(-step)) / (2.0 * step)
+    return _scalar((at(step) - at(-step)) / (2.0 * step))
 
 
 def _rel_err(a, b):
@@ -91,17 +96,74 @@ def _blocks(cases):
         yield tuple(map(np.stack, zip(*block)))
 
 
-def metric_suite(seed: int, count: int = 500) -> list[CheckResult]:
-    """Reduced-metric identity: qf_metric = 4 * r_metric on random instances."""
+# Each suite's block generator draws its cases one by one, exactly as the
+# ``randstate.random_*`` calls of the suite's per-case form would, and shapes
+# the instances once per block.
+
+def _metric_blocks(seed: int, count: int):
+    """Blocks (rho, xi, xi2): a density and two tangents per case."""
     rng = np.random.default_rng(seed)
 
     def cases():
         for i in range(count):
             m = (2, 3, 4)[i % 3]
-            yield m, (random_density(rng, m), random_tangent(rng, m), random_tangent(rng, m))
+            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((3, 2, m, m)))
 
+    for x, z in _blocks(cases()):
+        yield density_from(x, z[:, 0]), tangent_from(z[:, 1]), tangent_from(z[:, 2])
+
+
+def _isometry_blocks(seed: int, count: int):
+    """Blocks (x, u, u2): a simplex point and two simplex tangents per case."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for i in range(count):
+            m = 2 + (i % 7)
+            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((2, m)))
+
+    for x, u in _blocks(cases()):
+        yield (simplex_point_from(x), simplex_tangent_from(u[:, 0]),
+               simplex_tangent_from(u[:, 1]))
+
+
+def _gradient_blocks(seed: int, count: int):
+    """Blocks (c, rho, xi2, x, u2): a cost, a density, a tangent, a simplex
+    point and a simplex tangent per case."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for i in range(count):
+            m = (2, 3, 5)[i % 3]
+            yield m, (random_cost(rng, m), rng.dirichlet(np.ones(m)),
+                      rng.standard_normal((2, 2, m, m)), rng.dirichlet(np.ones(m)),
+                      rng.standard_normal(m))
+
+    for c, theta, z, x, u in _blocks(cases()):
+        yield (c, density_from(theta, z[:, 0]), tangent_from(z[:, 1]),
+               simplex_point_from(x), simplex_tangent_from(u))
+
+
+def _lift_blocks(seed: int, count: int):
+    """Blocks (rho, xi, g, eta): a density and a tangent of size m, a unitary
+    and an anti-Hermitian matrix of size 4 per case."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for i in range(count):
+            m = (2, 3, 4)[i % 3]
+            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((2, 2, m, m)),
+                      rng.standard_normal((2, 2, 4, 4)))
+
+    for x, z, z4 in _blocks(cases()):
+        yield (density_from(x, z[:, 0]), tangent_from(z[:, 1]),
+               unitary_from(z4[:, 0]), anti_hermitian_from(z4[:, 1]))
+
+
+def metric_suite(seed: int, count: int = 500) -> list[CheckResult]:
+    """Reduced-metric identity: qf_metric = 4 * r_metric on random instances."""
     worst = 0.0
-    for rho, xi, xi2 in _blocks(cases()):
+    for rho, xi, xi2 in _metric_blocks(seed, count):
         qf = qf_metric(rho, xi, xi2)
         r = reduced_metric(rho, xi, xi2, n=2)
         worst = max(worst, np.max(np.abs(qf - 4.0 * r) / np.maximum(np.abs(qf), 1e-12)))
@@ -110,16 +172,8 @@ def metric_suite(seed: int, count: int = 500) -> list[CheckResult]:
 
 def isometry_suite(seed: int, count: int = 1000) -> list[CheckResult]:
     """Simplex embedding isometry on random (x, u, u')."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = 2 + (i % 7)
-            yield m, (random_simplex_point(rng, m), random_simplex_tangent(rng, m),
-                      random_simplex_tangent(rng, m))
-
     worst = 0.0
-    for x, u, u2 in _blocks(cases()):
+    for x, u, u2 in _isometry_blocks(seed, count):
         embedded, classical = check_isometry(x, u, u2)
         worst = max(worst, np.max(np.abs(embedded - classical)))
     return [CheckResult("isometry_absolute", float(worst), 1e-12)]
@@ -128,24 +182,15 @@ def isometry_suite(seed: int, count: int = 1000) -> list[CheckResult]:
 def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
     """Metric pairing of the gradients against central finite differences.
 
-    The gradients and the differences are taken per case; only the pairings
-    are stacked."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = (2, 3, 5)[i % 3]
-            c = random_cost(rng, m)
-            rho = random_density(rng, m)
-            xi2 = random_tangent(rng, m)
-            x = random_simplex_point(rng, m)
-            u2 = random_simplex_tangent(rng, m)
-            yield m, (rho, grad_K(rho, c), xi2, fd_potential_derivative(rho, c, xi2),
-                      x, grad_kappa(x, c), u2, fd_kappa_derivative(x, c, u2))
-
+    Draws per case, shapes per block; gradients per case, differences and
+    pairings per block."""
     worst_matrix = 0.0
     worst_simplex = 0.0
-    for rho, grad, xi2, fd, x, grad_x, u2, fd_x in _blocks(cases()):
+    for c, rho, xi2, x, u2 in _gradient_blocks(seed, count):
+        grad = np.stack([grad_K(*case) for case in zip(rho, c)])
+        grad_x = np.stack([grad_kappa(*case) for case in zip(x, c)])
+        fd = fd_potential_derivative(rho, c, xi2)
+        fd_x = fd_kappa_derivative(x, c, u2)
         worst_matrix = max(worst_matrix, np.max(_rel_err(qf_metric(rho, grad, xi2), fd)))
         worst_simplex = max(worst_simplex,
                             np.max(_rel_err(simplex_metric(x, grad_x, u2), fd_x)))
@@ -157,18 +202,10 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
 
 def lift_suite(seed: int, count: int = 100) -> list[CheckResult]:
     """Horizontal lift properties: horizontality, pushforward, orthogonality."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = (2, 3, 4)[i % 3]
-            yield m, (random_density(rng, m), random_tangent(rng, m),
-                      random_unitary(rng, 4), random_anti_hermitian(rng, 4))
-
     worst_hor = 0.0
     worst_push = 0.0
     worst_orth = 0.0
-    for rho, xi, g, eta in _blocks(cases()):
+    for rho, xi, g, eta in _lift_blocks(seed, count):
         state = lift_point(rho, n=2, g=g)
         phi = state.phi
         lifted = horizontal_lift(state, xi)

@@ -468,6 +468,10 @@ class TestExitCodes:
         (command, {"matrix": {"real": [[a, 0.0], [0.0, b]]}}, "density matrix")
         for command in (["solve-lp"], ["flow"])
         for a, b in ((nan, nan), (inf, -inf))
+    ] + [
+        (command, {"matrix": {"real": [[0.5, 0.0], [0.0, 0.5]],
+                              "imag": [[0.0, inf], [-inf, 0.0]]}}, "density matrix")
+        for command in (["solve-lp"], ["flow"])
     ])
     def test_non_finite_init_is_validation_error(self, tmp_path, capsys, command, init, what):
         prob = write_problem(tmp_path / "p.yaml", {"m": 2, "c": [1.0, -2.0], "init": init})

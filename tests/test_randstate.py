@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qisflow import ContractError
+from qisflow import randstate
 from qisflow.randstate import LP_COST_ATTEMPTS, random_cost, random_lp_cost
 
 
@@ -37,3 +38,60 @@ class TestRandomLpCost:
         with pytest.raises(ContractError, match=r"m=32 .* gap 0\.2"):
             random_lp_cost(np.random.default_rng(32), 32)
         assert time.perf_counter() - start < 1.0
+
+
+# The per-call generators as they were written before the draw/shape split:
+# the oracle for the streams and values of the split ones.
+
+def unitary_oracle(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def simplex_point_oracle(rng, m, mix=0.5):
+    x = rng.dirichlet(np.ones(m))
+    return (1.0 - mix) * x + mix / m
+
+
+def simplex_tangent_oracle(rng, m):
+    u = rng.standard_normal(m)
+    return u - u.mean()
+
+
+def density_oracle(rng, m, mix=0.5):
+    theta = simplex_point_oracle(rng, m, mix)
+    h = unitary_oracle(rng, m)
+    return (h * theta) @ h.conj().T
+
+
+def tangent_oracle(rng, m):
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a = 0.5 * (a + a.conj().T)
+    return a - (np.trace(a).real / m) * np.eye(m)
+
+
+def anti_hermitian_oracle(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (a - a.conj().T)
+
+
+ORACLES = {
+    "random_unitary": unitary_oracle,
+    "random_density": density_oracle,
+    "random_tangent": tangent_oracle,
+    "random_anti_hermitian": anti_hermitian_oracle,
+    "random_simplex_point": simplex_point_oracle,
+    "random_simplex_tangent": simplex_tangent_oracle,
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_generator_matches_its_oracle(name):
+    for m in range(1, 9):
+        for seed in range(50):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = getattr(randstate, name)(rng, m)
+            want = ORACLES[name](oracle_rng, m)
+            assert np.array_equal(got, want), (m, seed)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, (m, seed)

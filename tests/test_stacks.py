@@ -31,13 +31,17 @@ from qisflow import (
     sld,
     spectral_decompose,
 )
+from qisflow.gradient import _potential_K, potential_K
 from qisflow.randstate import (
+    random_cost,
     random_density,
     random_simplex_point,
     random_simplex_tangent,
     random_tangent,
     random_unitary,
 )
+from qisflow.simplex import _potential_kappa, potential_kappa
+from qisflow.verify import fd_kappa_derivative, fd_potential_derivative
 
 M = 3
 STACK = (2, 3)
@@ -144,9 +148,24 @@ CASES = {
                      random_simplex_tangent(rng, M)),
         [(lambda a: _replace(a, 0, a[0] + 0.1), ContractError),
          (lambda a: _replace(a, 1, a[1] + 0.1), ContractError)]),
+    "_potential_K": (
+        _potential_K, lambda rng: (_density(rng), random_cost(rng, M)), []),
+    "_potential_kappa": (
+        _potential_kappa,
+        lambda rng: (random_simplex_point(rng, M), random_cost(rng, M)), []),
+    "fd_potential_derivative": (
+        fd_potential_derivative,
+        lambda rng: (_density(rng), random_cost(rng, M), _tangent(rng)), []),
+    "fd_kappa_derivative": (
+        fd_kappa_derivative,
+        lambda rng: (random_simplex_point(rng, M), random_cost(rng, M),
+                     random_simplex_tangent(rng, M)), []),
 }
 SCALAR = {"qf_metric", "d_metric", "ambient_metric", "r_metric", "simplex_metric",
-          "check_isometry"}
+          "check_isometry", "fd_potential_derivative", "fd_kappa_derivative"}
+# public functions in front of a stack-aware body: (function, body)
+FRONTS = {"potential_K": (potential_K, "_potential_K"),
+          "potential_kappa": (potential_kappa, "_potential_kappa")}
 SPOILED = [(name, k) for name, (_, _, spoils) in CASES.items() for k in range(len(spoils))]
 
 
@@ -188,6 +207,15 @@ def test_single_call_returns_float(name):
     result = fn(*_members(0, draw)[0])
     for value in result if isinstance(result, tuple) else (result,):
         assert type(value) is float
+
+
+@pytest.mark.parametrize("name", FRONTS)
+def test_public_front_returns_float_of_its_body(name):
+    fn, body = FRONTS[name]
+    args = _members(0, CASES[body][1])[0]
+    result = fn(*args)
+    assert type(result) is float
+    assert result == CASES[body][0](*args)
 
 
 @pytest.mark.parametrize("name, k", SPOILED)

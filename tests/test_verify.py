@@ -13,6 +13,7 @@ from qisflow.lift import (
 )
 from qisflow.qis_core import qf_metric
 from qisflow.randstate import (
+    random_anti_hermitian,
     random_cost,
     random_density,
     random_simplex_point,
@@ -169,3 +170,54 @@ def test_blocks_split_within_a_size(monkeypatch, name):
     monkeypatch.setattr(verify, "BLOCK", 2)
     for seed in ORACLE_SEEDS:
         assert_same_verdicts(verify.SUITES[name](seed, 23), REFERENCES[name](seed, 23))
+
+
+# Each suite's instances drawn per case with the public generators, in the
+# suite's order: the reference for its block generator, which draws raw
+# Gaussians per case and shapes them per block.
+
+def metric_instances(rng, i):
+    m = (2, 3, 4)[i % 3]
+    return m, (random_density(rng, m), random_tangent(rng, m), random_tangent(rng, m))
+
+
+def isometry_instances(rng, i):
+    m = 2 + (i % 7)
+    return m, (random_simplex_point(rng, m), random_simplex_tangent(rng, m),
+               random_simplex_tangent(rng, m))
+
+
+def gradient_instances(rng, i):
+    m = (2, 3, 5)[i % 3]
+    return m, (random_cost(rng, m), random_density(rng, m), random_tangent(rng, m),
+               random_simplex_point(rng, m), random_simplex_tangent(rng, m))
+
+
+def lift_instances(rng, i):
+    m = (2, 3, 4)[i % 3]
+    return m, (random_density(rng, m), random_tangent(rng, m), random_unitary(rng, 4),
+               random_anti_hermitian(rng, 4))
+
+
+INSTANCES = {
+    "metric": (verify._metric_blocks, metric_instances, 500),
+    "isometry": (verify._isometry_blocks, isometry_instances, 1000),
+    "gradient": (verify._gradient_blocks, gradient_instances, 200),
+    "lift": (verify._lift_blocks, lift_instances, 100),
+}
+
+
+@pytest.mark.parametrize("count", [1, 7, verify.BLOCK + 1, None])
+@pytest.mark.parametrize("name", INSTANCES)
+def test_shaped_blocks_equal_stacked_per_case_draws(name, count):
+    blocks, instances, default = INSTANCES[name]
+    count = default if count is None else count
+    for seed in ORACLE_SEEDS:
+        rng = np.random.default_rng(seed)
+        want = list(verify._blocks(instances(rng, i) for i in range(count)))
+        got = list(blocks(seed, count))
+        assert len(got) == len(want), seed
+        for got_block, want_block in zip(got, want):
+            assert len(got_block) == len(want_block)
+            for a, b in zip(got_block, want_block):
+                assert a.dtype == b.dtype and np.array_equal(a, b), seed
