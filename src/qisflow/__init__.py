@@ -5,7 +5,6 @@ from ._kernels import BACKEND
 from .errors import ContractError, NumericError, QisflowError, RegularityError
 from .gradient import (
     cost_vector,
-    flow_field_K,
     grad_K,
     grad_general,
     m_operator_K,

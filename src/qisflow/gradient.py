@@ -78,11 +78,6 @@ def _grad_K(rho, c) -> np.ndarray:
     return 0.25 * (p + p.conj().T) - (0.5 * p.trace().real) * rho
 
 
-def flow_field_K(rho, c) -> np.ndarray:
-    """Right-hand side of the gradient flow: d rho/dt = -grad_K(rho)."""
-    return -grad_K(rho, c)
-
-
 def _check_cost_dim(rho: np.ndarray, c: np.ndarray) -> None:
     if c.shape[0] != rho.shape[0]:
         raise ContractError(

@@ -26,6 +26,9 @@ INIT_KINDS = ("barycenter", "diagonal", "matrix", "random")
 # libyaml's parser when PyYAML was built with it; it resolves and constructs
 # scalars with the same Python code as SafeLoader, so the values are the same
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# and libyaml's emitter: it represents values with SafeDumper's Python code
+# and writes the same bytes
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # States per eigvalsh call in the matrix writer: one call per block, not per
 # row, while the stacked copy stays small beside the trajectory itself
@@ -222,7 +225,7 @@ def write_trajectory(path, traj: FlowTrajectory, kind: str, fmt: str = "csv",
             "rows": list(rows),
         }
         with open(path, "w") as f:
-            yaml.safe_dump(doc, f, sort_keys=False)
+            yaml.dump(doc, f, Dumper=_DUMPER, sort_keys=False)
     else:
         raise ContractError(f"unknown format {fmt!r}; choose csv or structured")
 

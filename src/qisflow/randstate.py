@@ -1,9 +1,10 @@
 """Seeded generators for random states, tangents, and unitaries.
 
 Each generator is a draw and a shape.  The draw takes from ``rng`` what the
-instance needs, in a fixed order: a ``dirichlet`` spectrum where there is
-one, then all of the instance's Gaussians in one ``standard_normal`` call.
-The shape (``unitary_from``, ``density_from``, ``tangent_from``,
+instance needs, in a fixed order: a spectrum where there is one, as one
+``standard_exponential`` call normalized by ``spectrum_from``, then all of
+the instance's Gaussians in one ``standard_normal`` call.  The shape
+(``spectrum_from``, ``unitary_from``, ``density_from``, ``tangent_from``,
 ``anti_hermitian_from``, ``simplex_point_from``, ``simplex_tangent_from``)
 turns raw draws into the instance and takes stacks, with leading axes, so a
 caller can draw many instances first and shape them in one call each; the
@@ -28,6 +29,17 @@ LP_COST_ATTEMPTS = 1000
 def _complex(z: np.ndarray) -> np.ndarray:
     """A + iB from Gaussian pairs z of shape (..., 2, m, m)."""
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def spectrum_from(e: np.ndarray) -> np.ndarray:
+    """Normalize exponential draws e (..., m) to a point of the simplex.
+
+    This is numpy's ``dirichlet(np.ones(m))`` without its alpha checks: it
+    draws ``standard_exponential`` values, sums them left to right (as
+    ``cumsum`` does) and multiplies by the reciprocal of the sum, so equal
+    draws give equal bits.
+    """
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
 def unitary_from(z: np.ndarray) -> np.ndarray:
@@ -75,7 +87,7 @@ def random_unitary(rng, dim: int) -> np.ndarray:
 
 def random_simplex_point(rng, m: int, mix: float = 0.5) -> np.ndarray:
     """Random interior simplex point, mixed toward the barycenter."""
-    return simplex_point_from(rng.dirichlet(np.ones(m)), mix)
+    return simplex_point_from(spectrum_from(rng.standard_exponential(m)), mix)
 
 
 def random_simplex_tangent(rng, m: int) -> np.ndarray:
@@ -84,7 +96,7 @@ def random_simplex_tangent(rng, m: int) -> np.ndarray:
 
 def random_density(rng, m: int, mix: float = 0.5) -> np.ndarray:
     """Random regular density matrix with a well-conditioned spectrum."""
-    x = rng.dirichlet(np.ones(m))
+    x = spectrum_from(rng.standard_exponential(m))
     return density_from(x, rng.standard_normal((2, m, m)), mix)
 
 

@@ -3,11 +3,13 @@
 Each suite returns a list of ``CheckResult`` records (identity label, max
 observed error over all cases, tolerance).  The CLI prints them; tests assert
 on them.  A suite draws the raw numbers of its cases one by one from its
-seed, in the order of the ``randstate.random_*`` calls of one case, stacks
-them into blocks of up to ``BLOCK`` cases of one size, shapes the instances
-once per block with the ``randstate`` shaping functions, and checks each
-identity once per block.  ``verify --seed k`` so checks exactly the instances
-that per-case ``random_*`` calls would draw.
+seed, in the order of the ``randstate.random_*`` calls of one case (a
+spectrum is one ``standard_exponential`` call, normalized by
+``randstate.spectrum_from``), stacks them into blocks of up to ``BLOCK``
+cases of one size, shapes the instances once per block with the
+``randstate`` shaping functions, and checks each identity once per block.
+``verify --seed k`` so checks exactly the instances that per-case
+``random_*`` calls would draw.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .gradient import _potential_K, grad_K
+from .gradient import _grad_K, _potential_K
 from .lift import ambient_metric, horizontal_lift, lift_point, pi_differential
 from .lift import r_metric as reduced_metric
 from .qis_core import _dagger, _scalar, qf_metric
@@ -27,10 +29,11 @@ from .randstate import (
     random_cost,
     simplex_point_from,
     simplex_tangent_from,
+    spectrum_from,
     tangent_from,
     unitary_from,
 )
-from .simplex import _potential_kappa, check_isometry, grad_kappa, simplex_metric
+from .simplex import _grad_kappa, _potential_kappa, check_isometry, simplex_metric
 
 # xi2 is traceless and u2 sums to zero, so both difference lines are exactly
 # quadratic and a central difference has no truncation error; only round-off
@@ -107,10 +110,11 @@ def _metric_blocks(seed: int, count: int):
     def cases():
         for i in range(count):
             m = (2, 3, 4)[i % 3]
-            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((3, 2, m, m)))
+            yield m, (rng.standard_exponential(m), rng.standard_normal((3, 2, m, m)))
 
-    for x, z in _blocks(cases()):
-        yield density_from(x, z[:, 0]), tangent_from(z[:, 1]), tangent_from(z[:, 2])
+    for e, z in _blocks(cases()):
+        yield (density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
+               tangent_from(z[:, 2]))
 
 
 def _isometry_blocks(seed: int, count: int):
@@ -120,10 +124,10 @@ def _isometry_blocks(seed: int, count: int):
     def cases():
         for i in range(count):
             m = 2 + (i % 7)
-            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((2, m)))
+            yield m, (rng.standard_exponential(m), rng.standard_normal((2, m)))
 
-    for x, u in _blocks(cases()):
-        yield (simplex_point_from(x), simplex_tangent_from(u[:, 0]),
+    for e, u in _blocks(cases()):
+        yield (simplex_point_from(spectrum_from(e)), simplex_tangent_from(u[:, 0]),
                simplex_tangent_from(u[:, 1]))
 
 
@@ -135,13 +139,13 @@ def _gradient_blocks(seed: int, count: int):
     def cases():
         for i in range(count):
             m = (2, 3, 5)[i % 3]
-            yield m, (random_cost(rng, m), rng.dirichlet(np.ones(m)),
-                      rng.standard_normal((2, 2, m, m)), rng.dirichlet(np.ones(m)),
+            yield m, (random_cost(rng, m), rng.standard_exponential(m),
+                      rng.standard_normal((2, 2, m, m)), rng.standard_exponential(m),
                       rng.standard_normal(m))
 
-    for c, theta, z, x, u in _blocks(cases()):
-        yield (c, density_from(theta, z[:, 0]), tangent_from(z[:, 1]),
-               simplex_point_from(x), simplex_tangent_from(u))
+    for c, e, z, e2, u in _blocks(cases()):
+        yield (c, density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
+               simplex_point_from(spectrum_from(e2)), simplex_tangent_from(u))
 
 
 def _lift_blocks(seed: int, count: int):
@@ -152,11 +156,11 @@ def _lift_blocks(seed: int, count: int):
     def cases():
         for i in range(count):
             m = (2, 3, 4)[i % 3]
-            yield m, (rng.dirichlet(np.ones(m)), rng.standard_normal((2, 2, m, m)),
+            yield m, (rng.standard_exponential(m), rng.standard_normal((2, 2, m, m)),
                       rng.standard_normal((2, 2, 4, 4)))
 
-    for x, z, z4 in _blocks(cases()):
-        yield (density_from(x, z[:, 0]), tangent_from(z[:, 1]),
+    for e, z, z4 in _blocks(cases()):
+        yield (density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
                unitary_from(z4[:, 0]), anti_hermitian_from(z4[:, 1]))
 
 
@@ -183,12 +187,13 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
     """Metric pairing of the gradients against central finite differences.
 
     Draws per case, shapes per block; gradients per case, differences and
-    pairings per block."""
+    pairings per block.  The gradients skip validation: every drawn cost is
+    a finite, nonvanishing float vector of the state's size."""
     worst_matrix = 0.0
     worst_simplex = 0.0
     for c, rho, xi2, x, u2 in _gradient_blocks(seed, count):
-        grad = np.stack([grad_K(*case) for case in zip(rho, c)])
-        grad_x = np.stack([grad_kappa(*case) for case in zip(x, c)])
+        grad = np.stack([_grad_K(*case) for case in zip(rho, c)])
+        grad_x = np.stack([_grad_kappa(*case) for case in zip(x, c)])
         fd = fd_potential_derivative(rho, c, xi2)
         fd_x = fd_kappa_derivative(x, c, u2)
         worst_matrix = max(worst_matrix, np.max(_rel_err(qf_metric(rho, grad, xi2), fd)))

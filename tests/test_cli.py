@@ -175,8 +175,7 @@ class TestWriteTrajectory:
         traj._record(1e300, np.array([-0.0, 5e-324, 1e300]), -0.0)
         return traj
 
-    @pytest.mark.parametrize("fmt", ["csv", "structured"])
-    @pytest.mark.parametrize("kind, with_extra, params", [
+    CASES = pytest.mark.parametrize("kind, with_extra, params", [
         pytest.param("matrix", False, {}, id="matrix-False"),
         pytest.param("matrix", True, {}, id="matrix-True"),
         pytest.param("simplex", False, {}, id="simplex-False"),
@@ -184,8 +183,11 @@ class TestWriteTrajectory:
         pytest.param("matrix", True, {"t_max": 1.5, "record_every": 1},
                      id="matrix-True-153-records"),
     ])
-    def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra, params):
-        traj = self._matrix_traj(**params) if kind == "matrix" else self._simplex_traj()
+
+    @classmethod
+    def _case(cls, kind, with_extra, params):
+        """The trajectory and the ``extra`` column of one parametrized case."""
+        traj = cls._matrix_traj(**params) if kind == "matrix" else cls._simplex_traj()
         extra = None
         if with_extra:
             values = [0.1 * k for k in range(len(traj.times))]
@@ -193,6 +195,12 @@ class TestWriteTrajectory:
             extra = ("commutator_norm", values)
         if params:
             assert len(traj.times) == 153
+        return traj, extra
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @CASES
+    def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra, params):
+        traj, extra = self._case(kind, with_extra, params)
         got, want = tmp_path / "got", tmp_path / "want"
         write_trajectory(got, traj, kind, fmt=fmt, extra=extra)
         reference_write(want, traj, kind, fmt, extra=extra)
@@ -200,6 +208,20 @@ class TestWriteTrajectory:
         assert data == want.read_bytes()
         for token in (b"-0.0", b"e-324", b"e+300"):
             assert token in data
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @CASES
+    def test_libyaml_and_python_dumpers_agree(self, tmp_path, monkeypatch, kind,
+                                              with_extra, params):
+        assert problem_io._DUMPER is yaml.CSafeDumper
+        traj, extra = self._case(kind, with_extra, params)
+        written = []
+        for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
+            monkeypatch.setattr(problem_io, "_DUMPER", dumper)
+            path = tmp_path / dumper.__name__
+            write_trajectory(path, traj, kind, fmt="structured", extra=extra)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestSolveLp:

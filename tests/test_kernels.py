@@ -11,7 +11,7 @@ from qisflow._kernels import (
     matrix_rhs,
     simplex_rhs,
 )
-from qisflow.gradient import flow_field_K
+from qisflow.gradient import grad_K
 from qisflow.simplex import karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
 
@@ -34,7 +34,7 @@ class TestRhs:
             m = int(rng.integers(2, 6))
             rho = random_density(rng, m)
             c = random_cost(rng, m)
-            assert np.array_equal(matrix_rhs(rho, c), flow_field_K(rho, c))
+            assert np.array_equal(matrix_rhs(rho, c), -grad_K(rho, c))
 
 
 class TestAdvance:

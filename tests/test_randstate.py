@@ -95,3 +95,26 @@ def test_generator_matches_its_oracle(name):
             want = ORACLES[name](oracle_rng, m)
             assert np.array_equal(got, want), (m, seed)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, (m, seed)
+
+
+# ``spectrum_from`` of one ``standard_exponential`` call stands in for
+# ``dirichlet(np.ones(m))``: numpy draws the all-ones Dirichlet as
+# standard_gamma(1) = standard_exponential values, sums them left to right and
+# multiplies by the reciprocal.  If numpy changes that, this test fails.
+
+def test_spectrum_from_exponentials_is_the_flat_dirichlet():
+    for m in range(1, 41):
+        for seed in range(50):
+            rng, dirichlet_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = randstate.spectrum_from(rng.standard_exponential(m))
+            assert np.array_equal(got, dirichlet_rng.dirichlet(np.ones(m))), (m, seed)
+            assert rng.bit_generator.state == dirichlet_rng.bit_generator.state, (m, seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 40])
+def test_spectrum_from_stack_equals_its_rows(m):
+    e = np.random.default_rng(m).standard_exponential((3, 5, m))
+    got = randstate.spectrum_from(e)
+    assert got.shape == e.shape
+    for idx in np.ndindex(e.shape[:-1]):
+        assert np.array_equal(got[idx], randstate.spectrum_from(e[idx])), idx

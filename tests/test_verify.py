@@ -41,8 +41,8 @@ def test_gradient_suite_passes_on_round_off_seeds(seed):
 
 
 @pytest.mark.parametrize("name, label", [
-    ("grad_K", "matrix_gradient_fd_relative"),
-    ("grad_kappa", "simplex_gradient_fd_relative"),
+    ("_grad_K", "matrix_gradient_fd_relative"),
+    ("_grad_kappa", "simplex_gradient_fd_relative"),
 ])
 def test_scaled_gradient_fails(monkeypatch, name, label):
     exact = getattr(verify, name)
