@@ -14,17 +14,23 @@ runs every call with each checkout's own ``src/`` in its own process:
 
 and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
 the costs of the first LP problems of the first seed, each with ``solve-lp``
-and ``solve-lp --simplex``, and those of its first flow problems with ``flow``.
+and ``solve-lp --simplex``, and those of its first flow problems with ``flow``;
+and the first SCALED_PROBLEMS LP problems of the first seed with ``c`` times
+each of COST_SCALES, each with ``solve-lp`` and ``solve-lp --simplex``: at
+these scales a step of 1e-2 mostly leaves the domain or goes non-finite, so
+these calls reach the kernel's failure branches.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
-bytes.  ``verify`` must agree in exit code and in each line's label,
-tolerance and pass/FAIL; changes in ``max_error`` are listed but do not fail.
+bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
+code and in each line's label, tolerance and pass/FAIL; changes in
+``max_error`` are listed but do not fail.
 Exits 0 when the checkouts agree, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,22 +45,24 @@ LP_PROBLEMS = 60
 FLOW_PROBLEMS = 15
 VERIFY_SEEDS = 60
 RANDOM_INIT_SEEDS = 20
+SCALED_PROBLEMS = 30
+COST_SCALES = (100, 1000)
 
 # Runs each argv of the JSON list read from stdin through qisflow.cli.main in
-# this one process and prints a JSON list of [exit code, stdout] back.
+# this one process and prints a JSON list of [exit code, stdout, stderr] back.
 WORKER = """
 import contextlib, io, json, sys
 from qisflow.cli import main
 
 results = []
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -102,6 +110,15 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
         path.write_text(random_init(inputs.flow_problem(SEEDS[0], i).text(), i))
         name = f"flow-random-{i}.csv"
         calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name], name))
+    for scale in COST_SCALES:
+        for i in range(SCALED_PROBLEMS):
+            problem = inputs.lp_problem(SEEDS[0], i)
+            path = workdir / f"lp-x{scale}-{i}.yaml"
+            path.write_text(dataclasses.replace(problem, c=problem.c * scale).text())
+            for flag in ([], ["--simplex"]):
+                name = f"lp-x{scale}-{i}{'-simplex' if flag else ''}.csv"
+                calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
+                                           *flag], name))
     return calls
 
 
@@ -139,6 +156,8 @@ def compare(calls, results, outdirs) -> tuple[list[str], list[str]]:
         if kind != "verify":
             if a[1] != b[1]:
                 failures.append(f"{what}: stdout differs")
+            if (a[0] or b[0]) and a[2] != b[2]:
+                failures.append(f"{what}: stderr differs")
             files = [d / name for d in outdirs]
             exists = [f.exists() for f in files]
             if exists[0] != exists[1] or (
@@ -177,12 +196,15 @@ def main(argv=None) -> int:
     kinds = Counter(kind for kind, _, _ in calls)
     print(f"{checkouts[0]} -> {checkouts[1]}: "
           + ", ".join(f"{n} {k} calls" for k, n in kinds.items()))
+    codes = Counter(f"{kind} exit {result[0]}"
+                    for (kind, _, _), result in zip(calls, results[1]))
+    print("exit codes: " + ", ".join(f"{n} {k}" for k, n in sorted(codes.items())))
     for line in changes:
         print(f"changed {line}")
     for line in failures:
         print(f"DIFFERS {line}")
     print(f"{len(changes)} max_error values changed; "
-          f"{len(failures)} differences in exit code, stdout, trajectory or verdict")
+          f"{len(failures)} differences in exit code, stdout, stderr, trajectory or verdict")
     return 1 if failures else 0
 
 

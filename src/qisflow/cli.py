@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -64,6 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int)
     ver.add_argument("--count", type=int)
     return parser
+
+
+# main's parser, built once per process: parsing leaves a parser unchanged.
+_parser = functools.cache(build_parser)
 
 
 def _resolve_params(problem, args) -> IntegrationParams:
@@ -161,7 +166,7 @@ def _discard_output(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"solve-lp": cmd_solve_lp, "flow": cmd_flow, "verify": cmd_verify}
     try:
         return handlers[args.command](args)

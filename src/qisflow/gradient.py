@@ -18,9 +18,9 @@ def cost_vector(c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1:
         raise ContractError(f"cost vector must be 1-d, got shape {c.shape}")
-    if np.any(c == 0.0):
+    if (c == 0.0).any():
         raise ContractError("cost vector entries must be nonvanishing")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ContractError("cost vector entries must be finite")
     return c
 

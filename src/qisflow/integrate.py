@@ -12,9 +12,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ContractError, NumericError
-from .gradient import cost_vector, m_operator_K, potential_K
+from .gradient import cost_vector, potential_K
 from .qis_core import check_density, hermitian_part
-from .simplex import check_simplex_point, grad_kappa, potential_kappa
+from .simplex import _karmarkar_field, check_simplex_point, potential_kappa
 
 STOP_STATIONARY = "stationary"
 STOP_TMAX = "t_max_reached"
@@ -71,9 +71,9 @@ def stationarity_norm(rho, c) -> float:
     The SLD of grad K is A = M - tr(rho M) I with M = (C rho + rho C)/2, so the
     squared norm is tr(A rho A) = Var_rho(M) and needs no eigendecomposition.
     M is centred before the product: the uncentred tr(rho M^2) - tr(rho M)^2
-    cancels away most digits near a fixed point.
+    cancels away most digits near a fixed point.  Arrays only, not validated.
     """
-    mf = m_operator_K(rho, c)
+    mf = 0.5 * (c[:, None] * rho + rho * c)
     a = mf - np.vdot(mf, rho).real * np.eye(mf.shape[0])
     val = np.vdot(a, a @ rho).real
     return float(np.sqrt(max(val, 0.0)))
@@ -83,10 +83,10 @@ def simplex_stationarity_norm(x, c) -> float:
     """Simplex-metric norm of the gradient of kappa.
 
     Its square sum_j g_j^2 / x_j is Var_x(c∘x), the variance of c_j x_j under
-    the weights x: the simplex case of the matrix variance above.
+    the weights x: the simplex case of the matrix variance above.  Unvalidated.
     """
-    g = grad_kappa(x, c)
-    return float(np.sqrt(np.sum(g * g / np.asarray(x, dtype=np.float64))))
+    g = _karmarkar_field(x, c)
+    return float(np.sqrt((g * g / x).sum()))
 
 
 def nearest_vertex(state) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractError
 from .gradient import cost_vector
-from .qis_core import _scalar, d_metric
+from .qis_core import _check_finite, _scalar, d_metric
 
 SUM_TOL = 1e-12
 
@@ -22,8 +22,7 @@ def _as_vectors(a, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 1:
         raise ContractError(f"{what} must be 1-d, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ContractError(f"{what} has non-finite entries")
+    _check_finite(a, what)
     return a
 
 
@@ -75,21 +74,22 @@ def _potential_kappa(x, c):
 
 def grad_kappa(x, c) -> np.ndarray:
     """Metric gradient of kappa: component j is c_j x_j^2 - x_j sum_k c_k x_k^2."""
-    x = np.asarray(x, dtype=np.float64)
-    c = cost_vector(c)
-    _same_len(x, c)
-    return _grad_kappa(x, c)
-
-
-def _grad_kappa(x, c) -> np.ndarray:
-    """``grad_kappa`` without validation: the RK4 right-hand side calls it per stage."""
-    cx2 = c * x * x
-    return cx2 - x * cx2.sum()
+    return -karmarkar_field(x, c)
 
 
 def karmarkar_field(x, c) -> np.ndarray:
     """Continuous projective-scaling field: dx_j/dt = -c_j x_j^2 + x_j sum_k c_k x_k^2."""
-    return -grad_kappa(x, c)
+    x = np.asarray(x, dtype=np.float64)
+    c = cost_vector(c)
+    _same_len(x, c)
+    return _karmarkar_field(x, c)
+
+
+def _karmarkar_field(x, c) -> np.ndarray:
+    """``karmarkar_field`` without validation, for one vector x: the RK4
+    right-hand side calls it per stage."""
+    cx2 = c * x * x
+    return x * np.add.reduce(cx2) - cx2
 
 
 def _diag(v: np.ndarray) -> np.ndarray:

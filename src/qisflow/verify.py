@@ -33,7 +33,7 @@ from .randstate import (
     tangent_from,
     unitary_from,
 )
-from .simplex import _grad_kappa, _potential_kappa, check_isometry, simplex_metric
+from .simplex import _karmarkar_field, _potential_kappa, check_isometry, simplex_metric
 
 # xi2 is traceless and u2 sums to zero, so both difference lines are exactly
 # quadratic and a central difference has no truncation error; only round-off
@@ -193,7 +193,7 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
     worst_simplex = 0.0
     for c, rho, xi2, x, u2 in _gradient_blocks(seed, count):
         grad = np.stack([_grad_K(*case) for case in zip(rho, c)])
-        grad_x = np.stack([_grad_kappa(*case) for case in zip(x, c)])
+        grad_x = -np.stack([_karmarkar_field(*case) for case in zip(x, c)])
         fd = fd_potential_derivative(rho, c, xi2)
         fd_x = fd_kappa_derivative(x, c, u2)
         worst_matrix = max(worst_matrix, np.max(_rel_err(qf_metric(rho, grad, xi2), fd)))

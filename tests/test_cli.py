@@ -13,6 +13,7 @@ from qisflow import (
     integrate_simplex,
 )
 from qisflow import problem_io
+from qisflow import cli
 from qisflow.cli import main
 from qisflow.problem_io import (
     initial_density,
@@ -516,3 +517,42 @@ class TestExitCodes:
         out.write_text("an earlier run's trajectory\n")
         assert main([*command, prob, "-o", str(out)]) == 2
         assert not out.exists()
+
+
+class TestOneParser:
+    """``main`` parses with one parser per process; calls in a row must behave
+    as if each had built its own."""
+
+    @staticmethod
+    def _calls(tmp_path, capsys):
+        lp = write_problem(tmp_path / "lp.yaml", {"m": 3, "c": [2.0, -1.0, 3.0]})
+        flow = write_problem(tmp_path / "flow.yaml", {
+            "m": 2, "c": [1.0, 2.0],
+            "init": {"matrix": {"real": [[0.6, 0.2], [0.2, 0.4]]}},
+            "params": {"t_max": 0.5},
+        })
+        out = str(tmp_path / "t.csv")
+        results = []
+        for argv in (["solve-lp", lp, "-o", out],
+                     ["solve-lp", lp, "-o", out, "--step", "abc"],
+                     ["verify", "all", "--seed", "2", "--count", "10"],
+                     ["flow", flow, "-o", out],
+                     ["solve-lp", lp, "-o", out, "--simplex"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    def test_cached_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        cached = self._calls(tmp_path, capsys)
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._calls(tmp_path, capsys)
+        assert [code for code, _ in cached] == [0, 1, 0, 0, 0]
+        assert cached == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

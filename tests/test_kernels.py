@@ -12,7 +12,7 @@ from qisflow._kernels import (
     simplex_rhs,
 )
 from qisflow.gradient import grad_K
-from qisflow.simplex import karmarkar_field
+from qisflow.simplex import grad_kappa, karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
 
 # One RK4 step of size 1e-2 at this cost scale overshoots out of the domain.
@@ -37,7 +37,71 @@ class TestRhs:
             assert np.array_equal(matrix_rhs(rho, c), -grad_K(rho, c))
 
 
+def reference_advance_simplex(x, c, h, nsteps, floor):
+    """The simplex step as first written: RK4 on -(cx2 - x sum(cx2)) with the
+    wrapped reductions, the oracle for ``advance_simplex``."""
+    def rhs(y):
+        cx2 = c * y * y
+        return -(cx2 - y * cx2.sum())
+
+    for i in range(nsteps):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(xn).all():
+            return x, i, STATUS_NONFINITE
+        s = np.sum(xn)
+        if s <= 0.0:
+            return x, i, STATUS_NONFINITE
+        xn = xn / s
+        low = np.min(xn)
+        if low <= 0.0:
+            return x, i, STATUS_LEFT_DOMAIN
+        if low < floor:
+            return xn, i + 1, STATUS_BOUNDARY
+        x = xn
+    return x, nsteps, STATUS_OK
+
+
+def simplex_cases(seed, count):
+    """(x, c, h, nsteps, floor): m 2-40, cost scales 0.1-1000, steps 1e-3-1
+    and floors 1e-12-1e-2; the barycenter every 7th case, a constant cost
+    every 5th."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = int(rng.integers(2, 41))
+        x = np.full(m, 1.0 / m) if i % 7 == 0 else random_simplex_point(rng, m)
+        c = random_cost(rng, m) if i % 5 else np.full(m, rng.uniform(-6.0, 6.0))
+        c = c * 10.0 ** rng.uniform(-1, 3)
+        yield x, c, 10.0 ** rng.uniform(-3, 0), int(rng.integers(1, 200)), \
+            10.0 ** rng.uniform(-12, -2)
+
+
 class TestAdvance:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_simplex_matches_reference_step(self):
+        statuses = set()
+        for x, c, h, nsteps, floor in simplex_cases(12, 240):
+            got, steps, status = advance_simplex(x, c, h, nsteps, floor)
+            want, want_steps, want_status = reference_advance_simplex(x, c, h, nsteps, floor)
+            assert np.array_equal(got, want)
+            assert (steps, status) == (want_steps, want_status)
+            statuses.add(status)
+        assert statuses == {STATUS_OK, STATUS_BOUNDARY, STATUS_NONFINITE, STATUS_LEFT_DOMAIN}
+
+    def test_grad_kappa_matches_first_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m = int(rng.integers(2, 41))
+            x = random_simplex_point(rng, m)
+            c = random_cost(rng, m) * 10.0 ** rng.uniform(-1, 3)
+            cx2 = c * x * x
+            assert np.array_equal(grad_kappa(x, c), cx2 - x * cx2.sum())
+
+
     def test_simplex_status_ok(self):
         x = np.array([0.4, 0.6])
         c = np.array([1.0, 2.0])
