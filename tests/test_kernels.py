@@ -101,7 +101,6 @@ class TestAdvance:
             cx2 = c * x * x
             assert np.array_equal(grad_kappa(x, c), cx2 - x * cx2.sum())
 
-
     def test_simplex_status_ok(self):
         x = np.array([0.4, 0.6])
         c = np.array([1.0, 2.0])
