@@ -38,10 +38,7 @@ def grad_general(rho, mf) -> np.ndarray:
 
 def potential_K(rho, c) -> float:
     """Quadratic cost potential tr(C rho^2)/2."""
-    rho = _as_square(rho, "rho")
-    c = cost_vector(c)
-    _check_cost_dim(rho, c)
-    return float(_potential_K(rho, c))
+    return float(_potential_K(*_validated(rho, c)))
 
 
 def _potential_K(rho, c):
@@ -54,18 +51,17 @@ def _potential_K(rho, c):
 
 def m_operator_K(rho, c) -> np.ndarray:
     """Derivative matrix of the quadratic potential: (C rho + rho C)/2."""
-    rho = _as_square(rho, "rho")
-    c = cost_vector(c)
-    _check_cost_dim(rho, c)
-    return 0.5 * (c[:, None] * rho + rho * c[None, :])
+    return _m_operator_K(*_validated(rho, c))
+
+
+def _m_operator_K(rho, c) -> np.ndarray:
+    """``m_operator_K`` without validation."""
+    return 0.5 * (c[:, None] * rho + rho * c)
 
 
 def grad_K(rho, c) -> np.ndarray:
     """Closed-form gradient: (rho^2 C + 2 rho C rho + C rho^2)/4 - tr(rho C rho) rho."""
-    rho = _as_square(rho, "rho")
-    c = cost_vector(c)
-    _check_cost_dim(rho, c)
-    return _grad_K(rho, c)
+    return _grad_K(*_validated(rho, c))
 
 
 def _grad_K(rho, c) -> np.ndarray:
@@ -78,8 +74,12 @@ def _grad_K(rho, c) -> np.ndarray:
     return 0.25 * (p + p.conj().T) - (0.5 * p.trace().real) * rho
 
 
-def _check_cost_dim(rho: np.ndarray, c: np.ndarray) -> None:
+def _validated(rho, c) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, c) as a complex square matrix and a cost vector of its dimension."""
+    rho = _as_square(rho, "rho")
+    c = cost_vector(c)
     if c.shape[0] != rho.shape[0]:
         raise ContractError(
             f"cost vector length {c.shape[0]} does not match state dimension {rho.shape[0]}"
         )
+    return rho, c

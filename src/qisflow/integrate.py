@@ -12,9 +12,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import ContractError, NumericError
-from .gradient import cost_vector, potential_K
+from . import gradient, simplex
+from .gradient import _m_operator_K, _potential_K, cost_vector
 from .qis_core import check_density, hermitian_part
-from .simplex import _karmarkar_field, check_simplex_point, potential_kappa
+from .simplex import _karmarkar_field, _potential_kappa, check_simplex_point
 
 STOP_STATIONARY = "stationary"
 STOP_TMAX = "t_max_reached"
@@ -71,9 +72,14 @@ def stationarity_norm(rho, c) -> float:
     The SLD of grad K is A = M - tr(rho M) I with M = (C rho + rho C)/2, so the
     squared norm is tr(A rho A) = Var_rho(M) and needs no eigendecomposition.
     M is centred before the product: the uncentred tr(rho M^2) - tr(rho M)^2
-    cancels away most digits near a fixed point.  Arrays only, not validated.
+    cancels away most digits near a fixed point.
     """
-    mf = 0.5 * (c[:, None] * rho + rho * c)
+    return _stationarity_norm(*gradient._validated(rho, c))
+
+
+def _stationarity_norm(rho, c) -> float:
+    """``stationarity_norm`` without validation: the driver calls it per record."""
+    mf = _m_operator_K(rho, c)
     a = mf - np.vdot(mf, rho).real * np.eye(mf.shape[0])
     val = np.vdot(a, a @ rho).real
     return float(np.sqrt(max(val, 0.0)))
@@ -83,8 +89,13 @@ def simplex_stationarity_norm(x, c) -> float:
     """Simplex-metric norm of the gradient of kappa.
 
     Its square sum_j g_j^2 / x_j is Var_x(c∘x), the variance of c_j x_j under
-    the weights x: the simplex case of the matrix variance above.  Unvalidated.
+    the weights x: the simplex case of the matrix variance above.
     """
+    return _simplex_stationarity_norm(*simplex._validated(x, c))
+
+
+def _simplex_stationarity_norm(x, c) -> float:
+    """``simplex_stationarity_norm`` without validation, for the driver."""
     g = _karmarkar_field(x, c)
     return float(np.sqrt((g * g / x).sum()))
 
@@ -116,8 +127,8 @@ def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTraject
     if not rho.imag.any():
         rho = rho.real.copy()
     return _integrate(
-        rho, c, p, _kernels.advance_matrix, _kernels._matrix_lowest, potential_K,
-        stationarity_norm, np.complex128,
+        rho, c, p, _kernels.advance_matrix, _kernels._matrix_lowest,
+        _potential_K, _stationarity_norm, np.complex128,
     )
 
 
@@ -130,8 +141,8 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
     if c.shape[0] != x.shape[0]:
         raise ContractError("cost vector length does not match state dimension")
     return _integrate(
-        x, c, p, _kernels.advance_simplex, np.min, potential_kappa,
-        simplex_stationarity_norm, np.float64,
+        x, c, p, _kernels.advance_simplex, np.min,
+        _potential_kappa, _simplex_stationarity_norm, np.float64,
     )
 
 
@@ -142,7 +153,7 @@ def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> Flow
     ``NumericError``.  The per-record checks read the recorded copy."""
     traj = FlowTrajectory()
     state = y.astype(dtype)
-    traj._record(0.0, state, potential(state, c))
+    traj._record(0.0, state, float(potential(state, c)))
     if lowest(y) < p.boundary_floor:
         traj.stop_reason = STOP_BOUNDARY
         return traj
@@ -169,7 +180,7 @@ def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> Flow
                 last_state=y.astype(dtype),
             )
         state = y.astype(dtype)
-        traj._record(t, state, potential(state, c))
+        traj._record(t, state, float(potential(state, c)))
         if status == _kernels.STATUS_BOUNDARY:
             traj.stop_reason = STOP_BOUNDARY
             return traj

@@ -49,6 +49,14 @@ def _same_len(a: np.ndarray, b: np.ndarray) -> None:
         raise ContractError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def _validated(x, c) -> tuple[np.ndarray, np.ndarray]:
+    """(x, c) as a float vector and a cost vector of the same length."""
+    x = np.asarray(x, dtype=np.float64)
+    c = cost_vector(c)
+    _same_len(x, c)
+    return x, c
+
+
 def simplex_metric(x, u, u2):
     """Fisher-type simplex metric: sum_j u_j u'_j / x_j."""
     x = check_simplex_point(x)
@@ -61,10 +69,7 @@ def simplex_metric(x, u, u2):
 
 def potential_kappa(x, c) -> float:
     """Quadratic cost potential x^T C x / 2 on the simplex."""
-    x = np.asarray(x, dtype=np.float64)
-    c = cost_vector(c)
-    _same_len(x, c)
-    return float(_potential_kappa(x, c))
+    return float(_potential_kappa(*_validated(x, c)))
 
 
 def _potential_kappa(x, c):
@@ -79,10 +84,7 @@ def grad_kappa(x, c) -> np.ndarray:
 
 def karmarkar_field(x, c) -> np.ndarray:
     """Continuous projective-scaling field: dx_j/dt = -c_j x_j^2 + x_j sum_k c_k x_k^2."""
-    x = np.asarray(x, dtype=np.float64)
-    c = cost_vector(c)
-    _same_len(x, c)
-    return _karmarkar_field(x, c)
+    return _karmarkar_field(*_validated(x, c))
 
 
 def _karmarkar_field(x, c) -> np.ndarray:

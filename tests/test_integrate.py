@@ -76,6 +76,18 @@ class TestStationarity:
         assert simplex_stationarity_norm(x, c) > 1e-2
         assert stationarity_norm(np.diag(x).astype(complex), c) > 1e-2
 
+    def test_public_norms_take_lists(self):
+        assert stationarity_norm((np.eye(2) / 2).tolist(), [1.0, 2.0]) == pytest.approx(0.25)
+        assert simplex_stationarity_norm([0.5, 0.5], [1.0, 2.0]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("c", [[2.0], [1.0, 2.0, 3.0]])
+    def test_public_norms_reject_a_cost_of_the_wrong_length(self, c):
+        # a length-1 cost would broadcast to a constant cost and give 0
+        with pytest.raises(ContractError):
+            stationarity_norm(np.diag([0.25, 0.75]), c)
+        with pytest.raises(ContractError):
+            simplex_stationarity_norm(np.array([0.25, 0.75]), c)
+
 
 class TestMatrixFlow:
     def test_converges_to_cheapest_vertex(self):
