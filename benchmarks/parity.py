@@ -8,7 +8,9 @@ For each benchmark seed in SEEDS it writes the problem files of
 ``perfbench.inputs`` (taken from the checkout this script lives in) once, then
 runs every call with each checkout's own ``src/`` in its own process:
 
-- LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``;
+- LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``,
+  and the first STRUCTURED_LP_PROBLEMS of them with both again in
+  ``--format structured``;
 - FLOW_PROBLEMS flow problems, each with ``--format csv`` and ``structured``;
 - ``verify all`` on VERIFY_SEEDS consecutive ``inputs.verify_seed`` values;
 
@@ -42,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 7)
 LP_PROBLEMS = 60
+STRUCTURED_LP_PROBLEMS = 10
 FLOW_PROBLEMS = 15
 VERIFY_SEEDS = 60
 RANDOM_INIT_SEEDS = 20
@@ -85,10 +88,15 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
         for i in range(LP_PROBLEMS):
             path = workdir / f"lp-{seed}-{i}.yaml"
             path.write_text(inputs.lp_problem(seed, i).text())
+            formats = [[]]
+            if i < STRUCTURED_LP_PROBLEMS:
+                formats.append(["--format", "structured"])
             for flag in ([], ["--simplex"]):
-                name = f"lp-{seed}-{i}{'-simplex' if flag else ''}.csv"
-                calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
-                                           *flag], name))
+                for fmt in formats:
+                    ext = "yaml" if fmt else "csv"
+                    name = f"lp-{seed}-{i}{'-simplex' if flag else ''}.{ext}"
+                    calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
+                                               *fmt, *flag], name))
         for i in range(FLOW_PROBLEMS):
             path = workdir / f"flow-{seed}-{i}.yaml"
             path.write_text(inputs.flow_problem(seed, i).text())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gradient import _grad_K
+from .qis_core import hermitian_part
 from .simplex import _karmarkar_field
 
 STATUS_OK = 0
@@ -72,5 +73,5 @@ def advance_simplex(x, c, h, nsteps, floor):
 def advance_matrix(rho, c, h, nsteps, floor):
     """Symmetrized once on entry: the field keeps a Hermitian state exactly
     Hermitian, so each step only renormalizes the trace."""
-    rho = 0.5 * (rho + rho.conj().T)
-    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_norm)
+    return _advance(hermitian_part(rho), c, h, nsteps, floor, matrix_rhs, _matrix_lowest,
+                    _matrix_norm)

@@ -101,17 +101,13 @@ def cmd_solve_lp(args) -> int:
     seed = _seed(args)
     if args.simplex:
         traj = integrate_simplex(initial_simplex(problem, seed), problem.c, params)
-        final = np.asarray(traj.final_state)
-        diag = final
-        kind = "simplex"
+        diag = traj.final_state
     else:
         traj = integrate_matrix(initial_density(problem, seed), problem.c, params)
-        final = traj.final_state
-        diag = np.diag(final).real
-        kind = "matrix"
-    write_trajectory(args.output, traj, kind, fmt=args.format)
+        diag = np.diag(traj.final_state).real
+    write_trajectory(args.output, traj, fmt=args.format)
 
-    vertex = nearest_vertex(final)
+    vertex = nearest_vertex(diag)
     print(f"vertex: {vertex + 1}")
     print(f"vertex_objective: {float(problem.c[vertex])!r}")
     print(f"final_objective: {float(np.dot(problem.c, diag))!r}")
@@ -131,8 +127,7 @@ def cmd_flow(args) -> int:
     comm = [
         float(np.linalg.norm(rho @ rho0 - rho0 @ rho)) for rho in traj.states
     ]
-    write_trajectory(args.output, traj, "matrix", fmt=args.format,
-                     extra=("commutator_norm", comm))
+    write_trajectory(args.output, traj, fmt=args.format, extra=("commutator_norm", comm))
     print(f"stop_reason: {traj.stop_reason}")
     print(f"t_final: {traj.times[-1]!r}")
     print(f"final_potential: {traj.potential_values[-1]!r}")

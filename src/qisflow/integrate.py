@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .errors import ContractError, NumericError
 from . import gradient, simplex
-from .gradient import _m_operator_K, _potential_K, cost_vector
+from .gradient import _m_operator_K, _potential_K
 from .qis_core import check_density, hermitian_part
 from .simplex import _karmarkar_field, _potential_kappa, check_simplex_point
 
@@ -120,10 +120,7 @@ def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTraject
     stays real and is integrated in real arithmetic; states are recorded as
     complex matrices.  Stops on stationarity, horizon, or boundary guard."""
     p = p or IntegrationParams()
-    rho = hermitian_part(check_density(rho0, floor=0.0))
-    c = cost_vector(c)
-    if c.shape[0] != rho.shape[0]:
-        raise ContractError("cost vector length does not match state dimension")
+    rho, c = gradient._validated(hermitian_part(check_density(rho0, floor=0.0)), c)
     if not rho.imag.any():
         rho = rho.real.copy()
     return _integrate(
@@ -136,10 +133,7 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
     """Integrate the simplex flow dx_j/dt = -c_j x_j^2 + x_j sum_k c_k x_k^2 with
     the same scheme (per-step sum renormalization) and stop rules."""
     p = p or IntegrationParams()
-    x = check_simplex_point(x0).copy()
-    c = cost_vector(c)
-    if c.shape[0] != x.shape[0]:
-        raise ContractError("cost vector length does not match state dimension")
+    x, c = simplex._validated(check_simplex_point(x0), c)
     return _integrate(
         x, c, p, _kernels.advance_simplex, np.min,
         _potential_kappa, _simplex_stationarity_norm, np.float64,

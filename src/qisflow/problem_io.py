@@ -59,7 +59,7 @@ def load_problem(path) -> Problem:
     if unknown:
         raise ContractError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        m = _convert(path, "m", int, doc["m"])
+        m = _convert(path, "m", _integer, doc["m"])
         c = _convert(path, "c", cost_vector, doc["c"])
     except KeyError as exc:
         raise ContractError(f"{path}: missing required field {exc}") from exc
@@ -106,7 +106,7 @@ def load_problem(path) -> Problem:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = _convert(path, "seed", int, seed)
+        seed = _convert(path, "seed", _integer, seed)
         if seed < 0:
             raise ContractError(f"{path}: field 'seed' must be >= 0")
     return Problem(m=m, c=c, init_kind=kind, init_data=data, params=params, seed=seed)
@@ -114,6 +114,14 @@ def load_problem(path) -> Problem:
 
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
+
+
+def _integer(value) -> int:
+    """``value`` as an int; as for ``record_every``, a bool or a number with a
+    fractional part is malformed."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _convert(path, name: str, convert, value):
@@ -196,21 +204,18 @@ def _simplex_rows(traj: FlowTrajectory):
     return header, rows
 
 
-def write_trajectory(path, traj: FlowTrajectory, kind: str, fmt: str = "csv",
-                     extra=None) -> None:
+def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:
     """Write a trajectory as CSV or structured YAML.
 
-    ``kind`` is 'matrix' or 'simplex'; ``extra`` is an optional
-    (column_name, values) pair appended to matrix output.  CSV rows are
-    streamed one at a time in the csv module's default dialect; no field
-    needs quoting.
+    States that are matrices give 'matrix' rows, vectors 'simplex' rows;
+    ``extra`` is an optional (column_name, values) pair appended to matrix
+    output.  CSV rows are streamed one at a time in the csv module's default
+    dialect; no field needs quoting.
     """
-    if kind == "matrix":
-        header, rows = _matrix_rows(traj, extra)
-    elif kind == "simplex":
-        header, rows = _simplex_rows(traj)
+    if traj.states[0].ndim == 2:
+        kind, (header, rows) = "matrix", _matrix_rows(traj, extra)
     else:
-        raise ContractError(f"unknown trajectory kind {kind!r}")
+        kind, (header, rows) = "simplex", _simplex_rows(traj)
 
     if fmt == "csv":
         with open(path, "w", newline="") as f:

@@ -22,13 +22,20 @@ DEFAULT_EIG_FLOOR = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A†)/2."""
-    return 0.5 * (a + a.conj().T)
+    """(A + A†)/2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + _dagger(a))
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
+
+
+def _traceless_hermitian(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix in a stack, less its trace part."""
+    a = hermitian_part(a)
+    m = a.shape[-1]
+    return a - (np.trace(a, axis1=-2, axis2=-1).real / m)[..., None, None] * np.eye(m)
 
 
 def _scalar(value):
@@ -94,10 +101,7 @@ def density_state(entries, floor: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
 
 def tangent_state(entries) -> np.ndarray:
     """Build a tangent state from raw entries, symmetrizing and removing the trace."""
-    a = hermitian_part(_as_square(entries, "entries"))
-    m = a.shape[0]
-    a = a - (np.trace(a).real / m) * np.eye(m)
-    return check_tangent(a)
+    return check_tangent(_traceless_hermitian(_as_square(entries, "entries")))
 
 
 def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -111,20 +115,19 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ContractError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def spectral_decompose(rho, floor: float = DEFAULT_EIG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def spectral_decompose(rho) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a density matrix, or a stack of them, as ``np.linalg.eigh``
     does: (theta, h) with rho = h diag(theta) h†, eigenvalues ascending, all
-    above ``floor``."""
+    above ``DEFAULT_EIG_FLOOR``."""
     rho = _as_squares(rho, "rho")
     try:
         theta, h = np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    below = theta[..., 0][theta[..., 0] <= floor]
+    below = theta[..., 0][theta[..., 0] <= DEFAULT_EIG_FLOOR]
     if below.size:
-        raise RegularityError(
-            f"eigenvalue {below.min():.3e} at or below positivity floor {floor:.1e}"
-        )
+        raise RegularityError(f"eigenvalue {below.min():.3e} at or below positivity "
+                              f"floor {DEFAULT_EIG_FLOOR:.1e}")
     return theta, h
 
 

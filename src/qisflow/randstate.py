@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .qis_core import _dagger
+from .qis_core import _dagger, _traceless_hermitian
 
-LP_COST_LOW, LP_COST_HIGH = 0.5, 6.0
+COST_LOW, COST_HIGH = 0.5, 6.0
+LP_COST_GAP = 0.2
 LP_COST_ATTEMPTS = 1000
 
 
@@ -68,10 +69,7 @@ def density_from(x: np.ndarray, z: np.ndarray, mix: float = 0.5) -> np.ndarray:
 
 def tangent_from(z: np.ndarray) -> np.ndarray:
     """Traceless Hermitian part of A + iB."""
-    a = _complex(z)
-    a = 0.5 * (a + _dagger(a))
-    m = a.shape[-1]
-    return a - (np.trace(a, axis1=-2, axis2=-1).real / m)[..., None, None] * np.eye(m)
+    return _traceless_hermitian(_complex(z))
 
 
 def anti_hermitian_from(z: np.ndarray) -> np.ndarray:
@@ -85,9 +83,9 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return unitary_from(rng.standard_normal((2, dim, dim)))
 
 
-def random_simplex_point(rng, m: int, mix: float = 0.5) -> np.ndarray:
-    """Random interior simplex point, mixed toward the barycenter."""
-    return simplex_point_from(spectrum_from(rng.standard_exponential(m)), mix)
+def random_simplex_point(rng, m: int) -> np.ndarray:
+    """Random interior simplex point, mixed halfway toward the barycenter."""
+    return simplex_point_from(spectrum_from(rng.standard_exponential(m)))
 
 
 def random_simplex_tangent(rng, m: int) -> np.ndarray:
@@ -110,15 +108,15 @@ def random_anti_hermitian(rng, dim: int) -> np.ndarray:
     return anti_hermitian_from(rng.standard_normal((2, dim, dim)))
 
 
-def random_cost(rng, m: int, low: float = 0.5, high: float = 6.0) -> np.ndarray:
-    """Random nonvanishing cost vector with mixed signs, |c_j| in [low, high]."""
-    mag = rng.uniform(low, high, m)
+def random_cost(rng, m: int) -> np.ndarray:
+    """Random nonvanishing cost vector with mixed signs, |c_j| in [COST_LOW, COST_HIGH]."""
+    mag = rng.uniform(COST_LOW, COST_HIGH, m)
     sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     return mag * sign
 
 
-def random_lp_cost(rng, m: int, gap: float = 0.2) -> np.ndarray:
-    """Cost vector for LP runs: distinct entries (pairwise gap), negative minimum.
+def random_lp_cost(rng, m: int) -> np.ndarray:
+    """Cost vector for LP runs: entries at least ``LP_COST_GAP`` apart, negative minimum.
 
     The projective-scaling flow reaches the optimal vertex from the barycenter
     when the smallest cost is negative; with an all-positive cost the interior
@@ -127,13 +125,13 @@ def random_lp_cost(rng, m: int, gap: float = 0.2) -> np.ndarray:
     ``LP_COST_ATTEMPTS`` rejections a ``ContractError`` is raised.
     """
     for _ in range(LP_COST_ATTEMPTS):
-        c = random_cost(rng, m, low=LP_COST_LOW, high=LP_COST_HIGH)
+        c = random_cost(rng, m)
         if c.min() > 0:
             c[np.argmin(np.abs(c))] *= -1.0
         d = np.sort(c)
-        if np.min(np.diff(d)) >= gap:
+        if np.min(np.diff(d)) >= LP_COST_GAP:
             return c
     raise ContractError(
-        f"no cost vector of length m={m} with pairwise gap {gap:g} "
+        f"no cost vector of length m={m} with pairwise gap {LP_COST_GAP:g} "
         f"in {LP_COST_ATTEMPTS} draws"
     )

@@ -55,7 +55,7 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def fd_potential_derivative(rho, c, xi2, step: float = FD_STEP):
+def fd_potential_derivative(rho, c, xi2):
     """Central finite difference of the cost potential along a trace-renormalized
     line through rho in direction xi2; one value per member of a stack."""
 
@@ -64,10 +64,10 @@ def fd_potential_derivative(rho, c, xi2, step: float = FD_STEP):
         g = g / np.trace(g, axis1=-2, axis2=-1).real[..., None, None]
         return _potential_K(g, c)
 
-    return _scalar((at(step) - at(-step)) / (2.0 * step))
+    return _scalar((at(FD_STEP) - at(-FD_STEP)) / (2.0 * FD_STEP))
 
 
-def fd_kappa_derivative(x, c, u2, step: float = FD_STEP):
+def fd_kappa_derivative(x, c, u2):
     """Central finite difference of kappa along a sum-renormalized line; one
     value per member of a stack."""
 
@@ -75,7 +75,7 @@ def fd_kappa_derivative(x, c, u2, step: float = FD_STEP):
         y = x + t * u2
         return _potential_kappa(y / y.sum(axis=-1, keepdims=True), c)
 
-    return _scalar((at(step) - at(-step)) / (2.0 * step))
+    return _scalar((at(FD_STEP) - at(-FD_STEP)) / (2.0 * FD_STEP))
 
 
 def _rel_err(a, b):

@@ -203,7 +203,7 @@ class TestWriteTrajectory:
     def test_bytes_match_reference(self, tmp_path, fmt, kind, with_extra, params):
         traj, extra = self._case(kind, with_extra, params)
         got, want = tmp_path / "got", tmp_path / "want"
-        write_trajectory(got, traj, kind, fmt=fmt, extra=extra)
+        write_trajectory(got, traj, fmt=fmt, extra=extra)
         reference_write(want, traj, kind, fmt, extra=extra)
         data = got.read_bytes()
         assert data == want.read_bytes()
@@ -220,7 +220,7 @@ class TestWriteTrajectory:
         for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
             monkeypatch.setattr(problem_io, "_DUMPER", dumper)
             path = tmp_path / dumper.__name__
-            write_trajectory(path, traj, kind, fmt="structured", extra=extra)
+            write_trajectory(path, traj, fmt="structured", extra=extra)
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
@@ -426,8 +426,12 @@ class TestExitCodes:
         ("m: 2\nc: [1.0, 2.0]\n", ["--step", "nan"]),
         ("m: 2\nc: [1.0, 2.0]\nparams: {t_max: .inf}\n", []),
         ("m: 2\nc: [1.0, 2.0]\n", ["--grad-tol", "nan"]),
+        ("m: 2.5\nc: [1.0, 2.0]\n", []),
+        ("m: true\nc: [1.0]\n", []),
+        ("m: 2\nc: [1.0, 2.0]\ninit: random\nseed: 2.5\n", []),
     ], ids=["m-abc", "c-x", "c-inf", "seed-abc", "seed-negative", "step-fast", "step-nan",
-            "flag-step-nan", "t_max-inf", "flag-grad-tol-nan"])
+            "flag-step-nan", "t_max-inf", "flag-grad-tol-nan", "m-fraction", "m-bool",
+            "seed-fraction"])
     def test_malformed_value_is_validation_error(self, tmp_path, capsys, text, flags):
         prob = tmp_path / "p.yaml"
         prob.write_text(text)

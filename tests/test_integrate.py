@@ -227,6 +227,22 @@ class TestSimplexFlow:
         traj = integrate_simplex(np.array([1.0]), np.array([5.0]))
         assert traj.stop_reason == STOP_STATIONARY
 
+    def test_leaves_the_initial_point_unchanged(self):
+        x0 = np.array([0.2, 0.5, 0.3])
+        traj = integrate_simplex(x0, np.array([1.0, -1.0, 2.0]), IntegrationParams(t_max=1.0))
+        assert np.array_equal(x0, [0.2, 0.5, 0.3])
+        assert traj.states[0] is not x0
+        assert not np.shares_memory(traj.states[0], x0)
+
+
+@pytest.mark.parametrize("c", [[2.0], [1.0, 2.0, 3.0]])
+def test_drivers_reject_a_cost_of_the_wrong_length(c):
+    # a length-1 cost would broadcast to a constant cost
+    with pytest.raises(ContractError, match="does not match|mismatch"):
+        integrate_matrix(np.diag([0.25, 0.75]), c)
+    with pytest.raises(ContractError, match="does not match|mismatch"):
+        integrate_simplex(np.array([0.25, 0.75]), c)
+
 
 class TestOrder:
     def test_rk4_step_halving(self):

@@ -14,7 +14,7 @@ def rejection_lp_cost(rng, m, gap=0.2):
     attempts = 0
     while True:
         attempts += 1
-        c = random_cost(rng, m, low=0.5, high=6.0)
+        c = random_cost(rng, m)
         if c.min() > 0:
             c[np.argmin(np.abs(c))] *= -1.0
         if np.min(np.diff(np.sort(c))) >= gap:
