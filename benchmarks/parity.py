@@ -17,7 +17,11 @@ runs every call with each checkout's own ``src/`` in its own process:
 and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
 the costs of the first LP problems of the first seed, each with ``solve-lp``
 and ``solve-lp --simplex``, and those of its first flow problems with ``flow``;
-and the first SCALED_PROBLEMS LP problems of the first seed with ``c`` times
+the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
+(``init`` left out, so the barycenter) and the same calls; the START_STOPS
+problems, which stop at t=0 (an init below ``boundary_floor``, a constant
+cost at the barycenter), each with ``solve-lp``, ``solve-lp --simplex`` and
+``flow``; and the first SCALED_PROBLEMS LP problems of the first seed with ``c`` times
 each of COST_SCALES, each with ``solve-lp`` and ``solve-lp --simplex``: at
 these scales a step of 1e-2 mostly leaves the domain or goes non-finite, so
 these calls reach the kernel's failure branches.
@@ -48,6 +52,11 @@ STRUCTURED_LP_PROBLEMS = 10
 FLOW_PROBLEMS = 15
 VERIFY_SEEDS = 60
 RANDOM_INIT_SEEDS = 20
+BARYCENTER_PROBLEMS = 10
+START_STOPS = {
+    "floor": "m: 2\nc: [1.0, 2.0]\ninit:\n  diagonal: [0.99999999999, 1.0e-11]\n",
+    "constant": "m: 3\nc: [2.0, 2.0, 2.0]\n",
+}
 SCALED_PROBLEMS = 30
 COST_SCALES = (100, 1000)
 
@@ -70,11 +79,11 @@ json.dump(results, sys.stdout)
 """
 
 
-def random_init(text: str, seed: int) -> str:
-    """A problem's text with ``init: random`` and ``seed`` in place of its init."""
+def with_init(text: str, init: str) -> str:
+    """A problem's text with the YAML lines ``init`` in place of its init."""
     head, _, rest = text.partition("init:\n")
     params = rest[rest.index("params:"):] if "params:" in rest else ""
-    return f"{head}init: random\nseed: {seed}\n{params}"
+    return f"{head}{init}{params}"
 
 
 def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
@@ -107,17 +116,27 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
         for i in range(VERIFY_SEEDS):
             calls.append(("verify", ["verify", "all", "--seed",
                                      str(inputs.verify_seed(seed, i))], None))
+    texts = {}
     for i in range(RANDOM_INIT_SEEDS):
-        path = workdir / f"lp-random-{i}.yaml"
-        path.write_text(random_init(inputs.lp_problem(SEEDS[0], i).text(), i))
+        init = f"init: random\nseed: {i}\n"
+        texts[f"lp-random-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), init)
+        texts[f"flow-random-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), init)
+    for i in range(BARYCENTER_PROBLEMS):
+        texts[f"lp-barycenter-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), "")
+        texts[f"flow-barycenter-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), "")
+    for stop, text in START_STOPS.items():
+        texts[f"lp-{stop}"] = texts[f"flow-{stop}"] = text
+    for stem, text in texts.items():
+        path = workdir / f"{stem}.yaml"
+        path.write_text(text)
+        if stem.startswith("flow-"):
+            calls.append(("flow", ["flow", str(path), "-o", "{out}/" + stem + ".csv"],
+                          stem + ".csv"))
+            continue
         for flag in ([], ["--simplex"]):
-            name = f"lp-random-{i}{'-simplex' if flag else ''}.csv"
+            name = f"{stem}{'-simplex' if flag else ''}.csv"
             calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
                                        *flag], name))
-        path = workdir / f"flow-random-{i}.yaml"
-        path.write_text(random_init(inputs.flow_problem(SEEDS[0], i).text(), i))
-        name = f"flow-random-{i}.csv"
-        calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name], name))
     for scale in COST_SCALES:
         for i in range(SCALED_PROBLEMS):
             problem = inputs.lp_problem(SEEDS[0], i)

@@ -20,7 +20,6 @@ from .integrate import (
     stationarity_norm,
 )
 from .lift import (
-    TupleState,
     ambient_metric,
     horizontal_lift,
     lift_point,

@@ -108,11 +108,6 @@ def nearest_vertex(state) -> int:
     return int(np.argmax(state.real))
 
 
-def _total_steps(p: IntegrationParams) -> int:
-    n = int(round(p.t_max / p.step))
-    return max(n, 1)
-
-
 def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTrajectory:
     """Integrate d rho/dt = -grad_K(rho) with RK4; rho0 is symmetrized once, so
     the t=0 record is the state integrated, the field keeps states exactly
@@ -142,24 +137,28 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
 
 def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> FlowTrajectory:
     """Drive ``advance`` in chunks of ``p.record_every`` steps, recording a
-    ``dtype`` copy after each chunk, until the boundary floor, stationarity or
-    the horizon; a step that goes non-finite or leaves the domain raises
-    ``NumericError``.  The per-record checks read the recorded copy."""
+    ``dtype`` copy at t=0 and after each chunk, until the boundary floor,
+    stationarity or the horizon; a step that goes non-finite or leaves the
+    domain raises ``NumericError``.  The per-record checks read the recorded
+    copy."""
     traj = FlowTrajectory()
-    state = y.astype(dtype)
-    traj._record(0.0, state, float(potential(state, c)))
-    if lowest(y) < p.boundary_floor:
-        traj.stop_reason = STOP_BOUNDARY
-        return traj
-    if stationarity(state, c) <= p.grad_tol:
-        traj.stop_reason = STOP_STATIONARY
-        return traj
-
-    total = _total_steps(p)
-    k = 0
+    total = max(int(round(p.t_max / p.step)), 1)
+    k, t = 0, 0.0
+    status = _kernels.STATUS_BOUNDARY if lowest(y) < p.boundary_floor else _kernels.STATUS_OK
     while True:
-        chunk = min(p.record_every, total - k)
-        y, done, status = advance(y, c, p.step, chunk, p.boundary_floor)
+        state = y.astype(dtype)
+        traj._record(t, state, float(potential(state, c)))
+        if status == _kernels.STATUS_BOUNDARY:
+            traj.stop_reason = STOP_BOUNDARY
+            return traj
+        if stationarity(state, c) <= p.grad_tol:
+            traj.stop_reason = STOP_STATIONARY
+            return traj
+        if k >= total:
+            traj.stop_reason = STOP_TMAX
+            return traj
+        y, done, status = advance(y, c, p.step, min(p.record_every, total - k),
+                                  p.boundary_floor)
         k += done
         t = k * p.step
         if status == _kernels.STATUS_NONFINITE:
@@ -173,14 +172,3 @@ def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> Flow
                 f"large for the cost scale (max |c| = {np.max(np.abs(c)):g})",
                 last_state=y.astype(dtype),
             )
-        state = y.astype(dtype)
-        traj._record(t, state, float(potential(state, c)))
-        if status == _kernels.STATUS_BOUNDARY:
-            traj.stop_reason = STOP_BOUNDARY
-            return traj
-        if stationarity(state, c) <= p.grad_tol:
-            traj.stop_reason = STOP_STATIONARY
-            return traj
-        if k >= total:
-            traj.stop_reason = STOP_TMAX
-            return traj

@@ -5,14 +5,12 @@ A point upstairs is a 2^n x m complex matrix of unit norm; projecting by
 vertical part (along unitary orbits) and a horizontal part; the reduced
 metric of horizontal lifts reproduces the SLD Fisher metric up to a factor 4.
 
-``lift_point`` (with a single or a stacked ``g``), ``horizontal_lift``,
-``ambient_metric``, ``pi_differential``, ``r_metric`` and ``TupleState.m``
-also take stacks, with leading axes as in ``qis_core``.
+A tuple Phi is a complex array; ``lift_point`` (with a single or a stacked
+``g``), ``horizontal_lift``, ``ambient_metric``, ``pi_differential`` and
+``r_metric`` also take stacks, with leading axes as in ``qis_core``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +36,7 @@ def min_qubits(m: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class TupleState:
-    """A unit-norm 2^n x m tuple, or a stack of them (..., 2^n, m)."""
-
-    phi: np.ndarray
-    n: int
-
-    @property
-    def m(self) -> int:
-        return self.phi.shape[-1]
-
-
-def tuple_state(phi, n: int) -> TupleState:
+def tuple_state(phi, n: int) -> np.ndarray:
     """Validate a raw tuple: shape 2^n x m, unit norm, full column rank."""
     phi = np.asarray(phi, dtype=np.complex128)
     rows = 1 << n
@@ -64,12 +50,12 @@ def tuple_state(phi, n: int) -> TupleState:
         raise ContractError(f"tuple norm {norm} differs from 1")
     if np.linalg.matrix_rank(phi, tol=1e-10) < m:
         raise RegularityError("tuple is column-rank deficient")
-    return TupleState(phi=phi, n=n)
+    return phi
 
 
-def project_pi(state) -> np.ndarray:
+def project_pi(phi) -> np.ndarray:
     """Project downstairs: rho = (1/m) Phi† Phi."""
-    phi = state.phi if isinstance(state, TupleState) else np.asarray(state, np.complex128)
+    phi = np.asarray(phi, dtype=np.complex128)
     m = phi.shape[1]
     rho = phi.conj().T @ phi / m
     w = np.linalg.eigvalsh(rho)
@@ -80,7 +66,7 @@ def project_pi(state) -> np.ndarray:
     return rho
 
 
-def lift_point(rho, n: int | None = None, g: np.ndarray | None = None) -> TupleState:
+def lift_point(rho, n: int | None = None, g: np.ndarray | None = None) -> np.ndarray:
     """Lift a density matrix: phi = g [sqrt(m) sqrt(Theta); 0] h†, default g = I.
 
     A stack of rho lifts member by member, with one g for all or one per member."""
@@ -101,16 +87,17 @@ def lift_point(rho, n: int | None = None, g: np.ndarray | None = None) -> TupleS
         if np.max(np.abs(_dagger(g) @ g - np.eye(rows))) > 1e-10:
             raise ContractError("g is not unitary")
         phi = g @ phi
-    return TupleState(phi=phi, n=n)
+    return phi
 
 
-def horizontal_lift(state: TupleState, xi) -> np.ndarray:
+def horizontal_lift(phi, xi) -> np.ndarray:
     """Horizontal lift X = (1/2) Phi L of a tangent xi, L = sld(pi(Phi), xi).
 
     X pushes forward to (L rho + rho L)/2 = xi and Phi X† is Hermitian (Uhlmann's
     parallel transport); its ambient norm is one quarter of the SLD metric."""
     xi = check_tangent(xi)
-    phi, m = state.phi, state.m
+    phi = np.asarray(phi, dtype=np.complex128)
+    m = phi.shape[-1]
     if xi.shape[-1] != m:
         raise ContractError(f"tangent dimension {xi.shape[-1]} does not match m={m}")
     return 0.5 * phi @ sld(_dagger(phi) @ phi / m, xi)
@@ -138,10 +125,10 @@ def r_metric(rho, xi, xi2, n: int | None = None, g: np.ndarray | None = None):
     """Reduced metric: ambient inner product of the horizontal lifts of xi, xi2.
 
     Both tangents are lifted in one call, so pi(Phi) is diagonalized once."""
-    state = lift_point(rho, n=n, g=g)
+    phi = lift_point(rho, n=n, g=g)
     xi, xi2 = _as_squares(xi, "xi"), _as_squares(xi2, "xi2")
     _same_dim(xi, xi2)
-    lx, lx2 = horizontal_lift(state, np.stack(np.broadcast_arrays(xi, xi2)))
+    lx, lx2 = horizontal_lift(phi, np.stack(np.broadcast_arrays(xi, xi2)))
     return ambient_metric(lx, lx2)
 
 
@@ -169,9 +156,9 @@ def random_vertical(phi, rng) -> np.ndarray:
     return random_anti_hermitian(rng, phi.shape[0]) @ phi
 
 
-def vertical_component_check(state, x, rng) -> float:
+def vertical_component_check(phi, x, rng) -> float:
     """Inner product of the horizontal part of ``x`` against a random vertical
     vector; near zero certifies orthogonality of the splitting."""
-    phi = state.phi if isinstance(state, TupleState) else np.asarray(state, np.complex128)
+    phi = np.asarray(phi, dtype=np.complex128)
     horizontal = np.asarray(x, dtype=np.complex128) - vertical_project(phi, x)
     return ambient_metric(horizontal, random_vertical(phi, rng))

@@ -60,7 +60,7 @@ def load_problem(path) -> Problem:
         raise ContractError(f"{path}: unknown fields {sorted(unknown)}")
     try:
         m = _convert(path, "m", _integer, doc["m"])
-        c = _convert(path, "c", cost_vector, doc["c"])
+        c = cost_vector(_convert(path, "c", _floats, doc["c"]))
     except KeyError as exc:
         raise ContractError(f"{path}: missing required field {exc}") from exc
     if m < 1:
@@ -113,7 +113,13 @@ def load_problem(path) -> Problem:
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    """``value`` as a float array; as in ``params``, an entry that is a bool or
+    a string (YAML ``true``, ``"2.5"``) is malformed."""
+    floats = np.asarray(value, dtype=np.float64)
+    for entry in np.asarray(value, dtype=object).flat:
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValueError(f"{entry!r} is not a number")
+    return floats
 
 
 def _integer(value) -> int:

@@ -84,15 +84,18 @@ def _rel_err(a, b):
     return np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale >= 1e-12)
 
 
-def _blocks(cases):
-    """Stack the per-case tuples of arrays from ``cases``, an iterable of
-    (size, tuple), into blocks of at most ``BLOCK`` cases of one size.  A block
-    is yielded as soon as it is full, and the partial ones at the end, so
-    memory stays flat in the number of cases; the draws keep their order."""
+def _blocks(seed: int, count: int, sizes, draw):
+    """Draw ``count`` cases from ``seed``, case i of size
+    ``sizes[i % len(sizes)]`` as the tuple of arrays ``draw(rng, size)``, and
+    stack them into blocks of at most ``BLOCK`` cases of one size.  A block is
+    yielded as soon as it is full, and the partial ones at the end, so memory
+    stays flat in the number of cases; the draws keep their order."""
+    rng = np.random.default_rng(seed)
     pending: dict[int, list] = {}
-    for size, case in cases:
+    for i in range(count):
+        size = sizes[i % len(sizes)]
         block = pending.setdefault(size, [])
-        block.append(case)
+        block.append(draw(rng, size))
         if len(block) == BLOCK:
             yield tuple(map(np.stack, zip(*pending.pop(size))))
     for block in pending.values():
@@ -105,28 +108,16 @@ def _blocks(cases):
 
 def _metric_blocks(seed: int, count: int):
     """Blocks (rho, xi, xi2): a density and two tangents per case."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = (2, 3, 4)[i % 3]
-            yield m, (rng.standard_exponential(m), rng.standard_normal((3, 2, m, m)))
-
-    for e, z in _blocks(cases()):
+    for e, z in _blocks(seed, count, (2, 3, 4), lambda rng, m: (
+            rng.standard_exponential(m), rng.standard_normal((3, 2, m, m)))):
         yield (density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
                tangent_from(z[:, 2]))
 
 
 def _isometry_blocks(seed: int, count: int):
     """Blocks (x, u, u2): a simplex point and two simplex tangents per case."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = 2 + (i % 7)
-            yield m, (rng.standard_exponential(m), rng.standard_normal((2, m)))
-
-    for e, u in _blocks(cases()):
+    for e, u in _blocks(seed, count, range(2, 9), lambda rng, m: (
+            rng.standard_exponential(m), rng.standard_normal((2, m)))):
         yield (simplex_point_from(spectrum_from(e)), simplex_tangent_from(u[:, 0]),
                simplex_tangent_from(u[:, 1]))
 
@@ -134,16 +125,10 @@ def _isometry_blocks(seed: int, count: int):
 def _gradient_blocks(seed: int, count: int):
     """Blocks (c, rho, xi2, x, u2): a cost, a density, a tangent, a simplex
     point and a simplex tangent per case."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = (2, 3, 5)[i % 3]
-            yield m, (random_cost(rng, m), rng.standard_exponential(m),
-                      rng.standard_normal((2, 2, m, m)), rng.standard_exponential(m),
-                      rng.standard_normal(m))
-
-    for c, e, z, e2, u in _blocks(cases()):
+    for c, e, z, e2, u in _blocks(seed, count, (2, 3, 5), lambda rng, m: (
+            random_cost(rng, m), rng.standard_exponential(m),
+            rng.standard_normal((2, 2, m, m)), rng.standard_exponential(m),
+            rng.standard_normal(m))):
         yield (c, density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
                simplex_point_from(spectrum_from(e2)), simplex_tangent_from(u))
 
@@ -151,15 +136,9 @@ def _gradient_blocks(seed: int, count: int):
 def _lift_blocks(seed: int, count: int):
     """Blocks (rho, xi, g, eta): a density and a tangent of size m, a unitary
     and an anti-Hermitian matrix of size 4 per case."""
-    rng = np.random.default_rng(seed)
-
-    def cases():
-        for i in range(count):
-            m = (2, 3, 4)[i % 3]
-            yield m, (rng.standard_exponential(m), rng.standard_normal((2, 2, m, m)),
-                      rng.standard_normal((2, 2, 4, 4)))
-
-    for e, z, z4 in _blocks(cases()):
+    for e, z, z4 in _blocks(seed, count, (2, 3, 4), lambda rng, m: (
+            rng.standard_exponential(m), rng.standard_normal((2, 2, m, m)),
+            rng.standard_normal((2, 2, 4, 4)))):
         yield (density_from(spectrum_from(e), z[:, 0]), tangent_from(z[:, 1]),
                unitary_from(z4[:, 0]), anti_hermitian_from(z4[:, 1]))
 
@@ -211,9 +190,8 @@ def lift_suite(seed: int, count: int = 100) -> list[CheckResult]:
     worst_push = 0.0
     worst_orth = 0.0
     for rho, xi, g, eta in _lift_blocks(seed, count):
-        state = lift_point(rho, n=2, g=g)
-        phi = state.phi
-        lifted = horizontal_lift(state, xi)
+        phi = lift_point(rho, n=2, g=g)
+        lifted = horizontal_lift(phi, xi)
         hor = phi @ _dagger(lifted) - lifted @ _dagger(phi)
         worst_hor = max(worst_hor, np.max(np.abs(hor)))
         push = pi_differential(phi, lifted)

@@ -429,9 +429,16 @@ class TestExitCodes:
         ("m: 2.5\nc: [1.0, 2.0]\n", []),
         ("m: true\nc: [1.0]\n", []),
         ("m: 2\nc: [1.0, 2.0]\ninit: random\nseed: 2.5\n", []),
+        ("m: 2\nc: [true, \"2.5\"]\n", []),
+        ("m: 2\nc: [1.0, \"2.5\"]\n", []),
+        ("m: 2\nc: [1.0, 2.0]\ninit:\n  diagonal: [0.5, \"0.5\"]\n", []),
+        ("m: 2\nc: [1.0, 2.0]\ninit:\n  matrix:\n    real: [[0.5, \"0\"], [0, 0.5]]\n", []),
+        ("m: 2\nc: [1.0, 2.0]\ninit:\n  matrix:\n    real: [[0.5, 0], [0, 0.5]]\n"
+         "    imag: [[0, false], [false, 0]]\n", []),
     ], ids=["m-abc", "c-x", "c-inf", "seed-abc", "seed-negative", "step-fast", "step-nan",
             "flag-step-nan", "t_max-inf", "flag-grad-tol-nan", "m-fraction", "m-bool",
-            "seed-fraction"])
+            "seed-fraction", "c-bool", "c-string", "diagonal-string", "matrix-real-string",
+            "matrix-imag-bool"])
     def test_malformed_value_is_validation_error(self, tmp_path, capsys, text, flags):
         prob = tmp_path / "p.yaml"
         prob.write_text(text)

@@ -109,19 +109,6 @@ class TestMatrixFlow:
             off = rho - np.diag(np.diag(rho))
             assert np.max(np.abs(off)) < 1e-10
 
-    def test_near_boundary_stops_immediately(self):
-        eps = 1e-11
-        rho = np.diag([1.0 - eps, eps]).astype(complex)
-        traj = integrate_matrix(rho, np.array([1.0, 2.0]))
-        assert traj.stop_reason == STOP_BOUNDARY
-        assert traj.times == [0.0]
-
-    def test_stationary_start(self):
-        m = 3
-        traj = integrate_matrix(np.eye(m, dtype=complex) / m, 2.0 * np.ones(m))
-        assert traj.stop_reason == STOP_STATIONARY
-        assert traj.times == [0.0]
-
     def test_horizon_stop(self):
         c = np.array([2.0, 1.0])
         traj = integrate_matrix(
@@ -233,6 +220,40 @@ class TestSimplexFlow:
         assert np.array_equal(x0, [0.2, 0.5, 0.3])
         assert traj.states[0] is not x0
         assert not np.shares_memory(traj.states[0], x0)
+
+
+# Each driver with a start that maps its diagonal x to its own state.
+DRIVERS = {
+    "matrix": lambda x, c, p=None: integrate_matrix(np.diag(x).astype(complex), c, p),
+    "simplex": lambda x, c, p=None: integrate_simplex(np.asarray(x, dtype=float), c, p),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_near_boundary_stops_immediately(driver):
+    eps = 1e-11
+    traj = DRIVERS[driver]([1.0 - eps, eps], np.array([1.0, 2.0]))
+    assert traj.stop_reason == STOP_BOUNDARY
+    assert traj.times == [0.0]
+    assert len(traj.states) == 1
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_stationary_start(driver):
+    m = 3
+    traj = DRIVERS[driver](np.full(m, 1 / m), 2.0 * np.ones(m))
+    assert traj.stop_reason == STOP_STATIONARY
+    assert traj.times == [0.0]
+    assert len(traj.states) == 1
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_horizon_shorter_than_a_step_takes_one_step(driver):
+    p = IntegrationParams(step=1e-2, t_max=4e-3, grad_tol=1e-15)
+    traj = DRIVERS[driver]([0.5, 0.5], np.array([1.0, 2.0]), p)
+    assert traj.stop_reason == STOP_TMAX
+    assert traj.times == [0.0, 1e-2]
+    assert len(traj.states) == 2
 
 
 @pytest.mark.parametrize("c", [[2.0], [1.0, 2.0, 3.0]])

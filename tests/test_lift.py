@@ -4,7 +4,6 @@ import pytest
 from qisflow import (
     ContractError,
     RegularityError,
-    TupleState,
     ambient_metric,
     horizontal_lift,
     lift_point,
@@ -76,8 +75,8 @@ class TestMinQubits:
 class TestProjectAndLift:
     def test_diagonal_lift_projects_back(self):
         theta = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        state = lift_point(theta, n=2)
-        assert np.max(np.abs(project_pi(state) - theta)) < 1e-12
+        phi = lift_point(theta, n=2)
+        assert np.max(np.abs(project_pi(phi) - theta)) < 1e-12
 
     def test_left_unitary_invariance(self):
         rng = np.random.default_rng(0)
@@ -85,7 +84,7 @@ class TestProjectAndLift:
         g = random_unitary(rng, 4)
         s1 = lift_point(rho, n=2)
         s2 = lift_point(rho, n=2, g=g)
-        assert np.max(np.abs(s2.phi - g @ s1.phi)) < 1e-12
+        assert np.max(np.abs(s2 - g @ s1)) < 1e-12
         assert np.max(np.abs(project_pi(s1) - project_pi(s2))) < 1e-12
 
     def test_projection_trace_one(self):
@@ -96,15 +95,15 @@ class TestProjectAndLift:
         assert abs(np.trace(rho).real - 1) < 1e-12
 
     def test_maximally_mixed_lift_is_identity(self):
-        state = lift_point(np.eye(2, dtype=complex) / 2, n=1)
-        assert np.allclose(state.phi, np.eye(2))
+        phi = lift_point(np.eye(2, dtype=complex) / 2, n=1)
+        assert np.allclose(phi, np.eye(2))
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             rho = random_density(rng, 3)
-            state = lift_point(rho, n=2, g=random_unitary(rng, 4))
-            assert np.max(np.abs(project_pi(state) - rho)) < 1e-10
+            phi = lift_point(rho, n=2, g=random_unitary(rng, 4))
+            assert np.max(np.abs(project_pi(phi) - rho)) < 1e-10
 
     def test_rank_deficient_projection_rejected(self):
         phi = np.zeros((4, 2), dtype=complex)
@@ -154,33 +153,33 @@ class TestHorizontalLift:
         for _ in range(10):
             rho = random_density(rng, 3)
             xi = random_tangent(rng, 3)
-            state = lift_point(rho, n=2, g=random_unitary(rng, 4))
-            lifted = horizontal_lift(state, xi)
-            assert np.max(np.abs(pi_differential(state.phi, lifted) - xi)) < 1e-9
+            phi = lift_point(rho, n=2, g=random_unitary(rng, 4))
+            lifted = horizontal_lift(phi, xi)
+            assert np.max(np.abs(pi_differential(phi, lifted) - xi)) < 1e-9
 
     def test_horizontality(self):
         rng = np.random.default_rng(5)
         rho = random_density(rng, 3)
         xi = random_tangent(rng, 3)
-        state = lift_point(rho, n=2, g=random_unitary(rng, 4))
-        lifted = horizontal_lift(state, xi)
-        res = state.phi @ lifted.conj().T - lifted @ state.phi.conj().T
+        phi = lift_point(rho, n=2, g=random_unitary(rng, 4))
+        lifted = horizontal_lift(phi, xi)
+        res = phi @ lifted.conj().T - lifted @ phi.conj().T
         assert np.max(np.abs(res)) < 1e-10
 
     def test_maximally_mixed_diagonal_tangent(self):
         # Phi = I and L = 2 xi at rho = I/2, so the lift is xi itself
         xi = np.diag([0.3, -0.3]).astype(complex)
-        state = lift_point(np.eye(2, dtype=complex) / 2, n=1)
-        assert np.max(np.abs(horizontal_lift(state, xi) - xi)) < 1e-12
+        phi = lift_point(np.eye(2, dtype=complex) / 2, n=1)
+        assert np.max(np.abs(horizontal_lift(phi, xi) - xi)) < 1e-12
 
     def test_real_linearity(self):
         rng = np.random.default_rng(6)
         rho = random_density(rng, 3)
-        state = lift_point(rho, n=2)
+        phi = lift_point(rho, n=2)
         x1, x2 = random_tangent(rng, 3), random_tangent(rng, 3)
         a, b = 0.7, -1.3
-        lhs = horizontal_lift(state, a * x1 + b * x2)
-        rhs = a * horizontal_lift(state, x1) + b * horizontal_lift(state, x2)
+        lhs = horizontal_lift(phi, a * x1 + b * x2)
+        rhs = a * horizontal_lift(phi, x1) + b * horizontal_lift(phi, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_bare_tuple_state(self):
@@ -213,7 +212,7 @@ class TestHorizontalLift:
         phi = np.zeros((4, 2), dtype=complex)
         phi[0, 0] = np.sqrt(2.0)
         with pytest.raises(RegularityError):
-            horizontal_lift(TupleState(phi, 2), np.diag([0.1, -0.1]).astype(complex))
+            horizontal_lift(phi, np.diag([0.1, -0.1]).astype(complex))
 
 
 class TestRMetric:
@@ -316,28 +315,28 @@ class TestVerticalSplit:
     def test_horizontal_lift_orthogonal_to_vertical(self, n, m):
         rng = np.random.default_rng(12)
         rho = random_density(rng, m)
-        state = lift_point(rho, n=n, g=random_unitary(rng, 1 << n))
-        lifted = horizontal_lift(state, random_tangent(rng, m))
+        phi = lift_point(rho, n=n, g=random_unitary(rng, 1 << n))
+        lifted = horizontal_lift(phi, random_tangent(rng, m))
         for _ in range(20):
-            assert abs(vertical_component_check(state, lifted, rng)) < 1e-10
+            assert abs(vertical_component_check(phi, lifted, rng)) < 1e-10
 
     def test_vertical_vector_has_no_horizontal_part(self, n, m):
         rng = np.random.default_rng(13)
-        state = lift_point(random_density(rng, m), n=n)
-        v = random_vertical(state.phi, rng)
-        residual = v - vertical_project(state.phi, v)
+        phi = lift_point(random_density(rng, m), n=n)
+        v = random_vertical(phi, rng)
+        residual = v - vertical_project(phi, v)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_decomposition_reconstructs(self, n, m):
         rng = np.random.default_rng(14)
-        state = lift_point(random_density(rng, m), n=n)
+        phi = lift_point(random_density(rng, m), n=n)
         x = random_ambient(rng, 1 << n, m)
-        vertical = vertical_project(state.phi, x)
+        vertical = vertical_project(phi, x)
         horizontal = x - vertical
         assert np.max(np.abs(vertical + horizontal - x)) < 1e-10
         # horizontal part is ambient-orthogonal to fresh vertical directions
         for _ in range(10):
-            assert abs(ambient_metric(horizontal, random_vertical(state.phi, rng))) < 1e-9
+            assert abs(ambient_metric(horizontal, random_vertical(phi, rng))) < 1e-9
 
 
 @pytest.mark.parametrize("n,m,rank", [
@@ -348,7 +347,7 @@ def test_matches_least_squares_oracle(n, m, rank):
     rng = np.random.default_rng(100 * n + 10 * m + rank)
     rows = 1 << n
     if rank == m:
-        phi = lift_point(random_density(rng, m), n=n, g=random_unitary(rng, rows)).phi
+        phi = lift_point(random_density(rng, m), n=n, g=random_unitary(rng, rows))
     else:
         phi = random_ambient(rng, rows, rank) @ random_ambient(rng, rank, m)
         assert np.linalg.matrix_rank(phi) == rank
@@ -356,3 +355,22 @@ def test_matches_least_squares_oracle(n, m, rank):
         x = random_ambient(rng, rows, m)
         closed = vertical_project(phi, x)
         assert np.max(np.abs(closed - least_squares_vertical(phi, x))) < 1e-12
+
+
+def test_plain_list_and_array_tuples_give_the_lift_values():
+    # a tuple given as a nested list or as a copy is read as the complex array
+    # lift_point returns: the same bits, and the oracles' values
+    rng = np.random.default_rng(16)
+    rho, n, g, xi, _ = random_lift_case(rng)
+    phi = lift_point(rho, n=n, g=g)
+    x = random_ambient(rng, 1 << n, rho.shape[0])
+    lifted = horizontal_lift(phi, xi)
+    expected = alpha_lift_at(rho, g, xi)
+    assert np.max(np.abs(lifted - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(project_pi(phi) - rho)) < 1e-10
+    check = vertical_component_check(phi, x, np.random.default_rng(17))
+    assert abs(check) < 1e-9
+    for given in (phi.tolist(), np.array(phi)):
+        assert np.array_equal(horizontal_lift(given, xi), lifted)
+        assert np.array_equal(project_pi(given), project_pi(phi))
+        assert vertical_component_check(given, x, np.random.default_rng(17)) == check

@@ -13,7 +13,6 @@ from qisflow import (
     ContractError,
     NumericError,
     RegularityError,
-    TupleState,
     ambient_metric,
     check_isometry,
     check_simplex_point,
@@ -61,8 +60,8 @@ def _tangent(rng):
 
 
 def _lifted(rng):
-    state = lift_point(_density(rng), n=2, g=random_unitary(rng, 4))
-    return state.phi, horizontal_lift(state, _tangent(rng))
+    phi = lift_point(_density(rng), n=2, g=random_unitary(rng, 4))
+    return phi, horizontal_lift(phi, _tangent(rng))
 
 
 RANK_DEFICIENT = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -110,8 +109,8 @@ CASES = {
         [(lambda a: _replace(a, 1, 2.0 * a[1]), ContractError),
          (lambda a: _replace(a, 0, RANK_DEFICIENT), RegularityError)]),
     "horizontal_lift": (
-        lambda phi, xi: horizontal_lift(TupleState(phi, 2), xi),
-        lambda rng: (lift_point(_density(rng), n=2).phi, _tangent(rng)),
+        horizontal_lift,
+        lambda rng: (lift_point(_density(rng), n=2), _tangent(rng)),
         [(lambda a: _replace(a, 1, _not_hermitian(a[1])), ContractError),
          (lambda a: _replace(a, 0, np.zeros((4, M))), RegularityError)]),
     "ambient_metric": (ambient_metric, _lifted, []),
@@ -170,9 +169,7 @@ SPOILED = [(name, k) for name, (_, _, spoils) in CASES.items() for k in range(le
 
 
 def _arrays(result):
-    """The arrays a result carries: a TupleState's tuple, or each tuple entry."""
-    if isinstance(result, TupleState):
-        return [result.phi]
+    """The arrays a result carries: the result, or each tuple entry."""
     if isinstance(result, tuple):
         return [np.asarray(r) for r in result]
     return [np.asarray(result)]
@@ -232,6 +229,4 @@ def test_one_bad_member_raises_its_class(name, k):
 
 def test_tuple_state_m_of_stack():
     (rho,) = _stack(_members(0, lambda rng: (_density(rng),)))
-    state = lift_point(rho, n=2)
-    assert state.phi.shape == STACK + (4, M)
-    assert state.m == M
+    assert lift_point(rho, n=2).shape == STACK + (4, M)

@@ -124,14 +124,14 @@ def lift_reference(seed, count=100):
         rho = random_density(rng, m)
         xi = random_tangent(rng, m)
         g = random_unitary(rng, 4)
-        state = lift_point(rho, n=2, g=g)
-        lifted = horizontal_lift(state, xi)
-        hor = state.phi @ lifted.conj().T - lifted @ state.phi.conj().T
+        phi = lift_point(rho, n=2, g=g)
+        lifted = horizontal_lift(phi, xi)
+        hor = phi @ lifted.conj().T - lifted @ phi.conj().T
         worst_hor = max(worst_hor, np.max(np.abs(hor)))
-        push = pi_differential(state.phi, lifted)
+        push = pi_differential(phi, lifted)
         worst_push = max(worst_push, np.max(np.abs(push - xi)))
         worst_orth = max(
-            worst_orth, abs(ambient_metric(lifted, random_vertical(state.phi, rng)))
+            worst_orth, abs(ambient_metric(lifted, random_vertical(phi, rng)))
         )
     return [
         CheckResult("horizontality_residual", worst_hor, 1e-10),
@@ -176,45 +176,41 @@ def test_blocks_split_within_a_size(monkeypatch, name):
 # suite's order: the reference for its block generator, which draws raw
 # Gaussians per case and shapes them per block.
 
-def metric_instances(rng, i):
-    m = (2, 3, 4)[i % 3]
-    return m, (random_density(rng, m), random_tangent(rng, m), random_tangent(rng, m))
+def metric_instances(rng, m):
+    return random_density(rng, m), random_tangent(rng, m), random_tangent(rng, m)
 
 
-def isometry_instances(rng, i):
-    m = 2 + (i % 7)
-    return m, (random_simplex_point(rng, m), random_simplex_tangent(rng, m),
-               random_simplex_tangent(rng, m))
+def isometry_instances(rng, m):
+    return (random_simplex_point(rng, m), random_simplex_tangent(rng, m),
+            random_simplex_tangent(rng, m))
 
 
-def gradient_instances(rng, i):
-    m = (2, 3, 5)[i % 3]
-    return m, (random_cost(rng, m), random_density(rng, m), random_tangent(rng, m),
-               random_simplex_point(rng, m), random_simplex_tangent(rng, m))
+def gradient_instances(rng, m):
+    return (random_cost(rng, m), random_density(rng, m), random_tangent(rng, m),
+            random_simplex_point(rng, m), random_simplex_tangent(rng, m))
 
 
-def lift_instances(rng, i):
-    m = (2, 3, 4)[i % 3]
-    return m, (random_density(rng, m), random_tangent(rng, m), random_unitary(rng, 4),
-               random_anti_hermitian(rng, 4))
+def lift_instances(rng, m):
+    return (random_density(rng, m), random_tangent(rng, m), random_unitary(rng, 4),
+            random_anti_hermitian(rng, 4))
 
 
+# (block generator, per-case instances, sizes case i cycles through, default count)
 INSTANCES = {
-    "metric": (verify._metric_blocks, metric_instances, 500),
-    "isometry": (verify._isometry_blocks, isometry_instances, 1000),
-    "gradient": (verify._gradient_blocks, gradient_instances, 200),
-    "lift": (verify._lift_blocks, lift_instances, 100),
+    "metric": (verify._metric_blocks, metric_instances, (2, 3, 4), 500),
+    "isometry": (verify._isometry_blocks, isometry_instances, (2, 3, 4, 5, 6, 7, 8), 1000),
+    "gradient": (verify._gradient_blocks, gradient_instances, (2, 3, 5), 200),
+    "lift": (verify._lift_blocks, lift_instances, (2, 3, 4), 100),
 }
 
 
 @pytest.mark.parametrize("count", [1, 7, verify.BLOCK + 1, None])
 @pytest.mark.parametrize("name", INSTANCES)
 def test_shaped_blocks_equal_stacked_per_case_draws(name, count):
-    blocks, instances, default = INSTANCES[name]
+    blocks, instances, sizes, default = INSTANCES[name]
     count = default if count is None else count
     for seed in ORACLE_SEEDS:
-        rng = np.random.default_rng(seed)
-        want = list(verify._blocks(instances(rng, i) for i in range(count)))
+        want = list(verify._blocks(seed, count, sizes, instances))
         got = list(blocks(seed, count))
         assert len(got) == len(want), seed
         for got_block, want_block in zip(got, want):
