@@ -21,10 +21,10 @@ the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
 (``init`` left out, so the barycenter) and the same calls; the START_STOPS
 problems, which stop at t=0 (an init below ``boundary_floor``, a constant
 cost at the barycenter), each with ``solve-lp``, ``solve-lp --simplex`` and
-``flow``; and the first SCALED_PROBLEMS LP problems of the first seed with ``c`` times
-each of COST_SCALES, each with ``solve-lp`` and ``solve-lp --simplex``: at
-these scales a step of 1e-2 mostly leaves the domain or goes non-finite, so
-these calls reach the kernel's failure branches.
+``flow``; and the first SCALED_PROBLEMS LP problems of the first seed with
+``c`` times each of COST_SCALES, each with ``solve-lp`` and ``solve-lp
+--simplex``: at these scales a step of 1e-2 mostly leaves the domain or goes
+non-finite, so these calls reach the kernel's failure branches.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
