@@ -21,10 +21,16 @@ the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
 (``init`` left out, so the barycenter) and the same calls; the START_STOPS
 problems, which stop at t=0 (an init below ``boundary_floor``, a constant
 cost at the barycenter), each with ``solve-lp``, ``solve-lp --simplex`` and
-``flow``; and the first SCALED_PROBLEMS LP problems of the first seed with
+``flow``; the first SCALED_PROBLEMS LP problems of the first seed with
 ``c`` times each of COST_SCALES, each with ``solve-lp`` and ``solve-lp
 --simplex``: at these scales a step of 1e-2 mostly leaves the domain or goes
-non-finite, so these calls reach the kernel's failure branches.
+non-finite, so these calls reach the kernel's failure branches; and
+REAL_MATRIX_PROBLEMS ``init: matrix`` problems with a real symmetric,
+non-diagonal rho0 (``imag`` left out; the first flow problems of the first
+seed with their spectrum turned by a real orthogonal matrix, ``t_max``
+REAL_T_MAX, every step recorded), each with ``solve-lp`` and ``flow`` in CSV
+and structured format: no other input runs the matrix kernel in real
+arithmetic off the diagonal.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
@@ -45,6 +51,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 7)
 LP_PROBLEMS = 60
@@ -59,6 +67,8 @@ START_STOPS = {
 }
 SCALED_PROBLEMS = 30
 COST_SCALES = (100, 1000)
+REAL_MATRIX_PROBLEMS = 10
+REAL_T_MAX = 0.2
 
 # Runs each argv of the JSON list read from stdin through qisflow.cli.main in
 # this one process and prints a JSON list of [exit code, stdout, stderr] back.
@@ -146,6 +156,19 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
                 name = f"lp-x{scale}-{i}{'-simplex' if flag else ''}.csv"
                 calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
                                            *flag], name))
+    for i in range(REAL_MATRIX_PROBLEMS):
+        problem = inputs.flow_problem(SEEDS[0], i)
+        q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((problem.m, problem.m)))
+        rho = (q * np.linalg.eigvalsh(problem.rho0)) @ q.T
+        text = dataclasses.replace(problem, rho0=rho / np.trace(rho), t_max=REAL_T_MAX).text()
+        path = workdir / f"real-{i}.yaml"
+        path.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("    imag:")))
+        for command in ("solve-lp", "flow"):
+            for fmt, ext in (("csv", "csv"), ("structured", "yaml")):
+                name = f"real-{i}-{command}.{ext}"
+                calls.append((command, [command, str(path), "-o", "{out}/" + name,
+                                        "--format", fmt], name))
     return calls
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradient import _grad_K
-from .qis_core import hermitian_part
+from .gradient import _field_K
 from .simplex import _karmarkar_field
 
 STATUS_OK = 0
@@ -30,7 +29,7 @@ def simplex_rhs(x, c):
 
 
 def matrix_rhs(rho, c):
-    return -_grad_K(rho, c)
+    return _field_K(rho, c)
 
 
 def _matrix_norm(rho):
@@ -71,7 +70,6 @@ def advance_simplex(x, c, h, nsteps, floor):
 
 
 def advance_matrix(rho, c, h, nsteps, floor):
-    """Symmetrized once on entry: the field keeps a Hermitian state exactly
-    Hermitian, so each step only renormalizes the trace."""
-    return _advance(hermitian_part(rho), c, h, nsteps, floor, matrix_rhs, _matrix_lowest,
-                    _matrix_norm)
+    """rho must be exactly Hermitian (the driver symmetrizes its start once):
+    the field keeps it so, and each step only renormalizes the trace."""
+    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_norm)

@@ -72,11 +72,10 @@ _parser = functools.cache(build_parser)
 
 
 def _resolve_params(problem, args) -> IntegrationParams:
-    kwargs = {}
-    for f in dataclasses.fields(IntegrationParams):
-        override = getattr(args, f.name)
-        kwargs[f.name] = override if override is not None else getattr(problem.params, f.name)
-    return IntegrationParams(**kwargs)
+    """The problem file's params, with each flag that was given in its place."""
+    return dataclasses.replace(problem.params, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(IntegrationParams)
+        if getattr(args, f.name) is not None})
 
 
 def _seed(args) -> int | None:

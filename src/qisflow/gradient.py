@@ -61,17 +61,17 @@ def _m_operator_K(rho, c) -> np.ndarray:
 
 def grad_K(rho, c) -> np.ndarray:
     """Closed-form gradient: (rho^2 C + 2 rho C rho + C rho^2)/4 - tr(rho C rho) rho."""
-    return _grad_K(*_validated(rho, c))
+    return -_field_K(*_validated(rho, c))
 
 
-def _grad_K(rho, c) -> np.ndarray:
-    """``grad_K`` without validation: the RK4 right-hand side calls it per stage.
+def _field_K(rho, c) -> np.ndarray:
+    """The flow field ``-grad_K`` without validation; the RK4 right-hand side returns it.
 
-    With P = rho (C rho + rho C) it is (P + P†)/4 - (tr P / 2) rho, one matrix
+    With P = rho (C rho + rho C) it is (tr P / 2) rho - (P + P†)/4, one matrix
     product; the result is exactly Hermitian whenever rho is.
     """
     p = rho @ (c[:, None] * rho + rho * c)
-    return 0.25 * (p + p.conj().T) - (0.5 * p.trace().real) * rho
+    return (0.5 * p.trace().real) * rho - 0.25 * (p + p.conj().T)
 
 
 def _validated(rho, c) -> tuple[np.ndarray, np.ndarray]:

@@ -32,18 +32,28 @@ class IntegrationParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ContractError(f"{f.name} must be a finite number, got {value!r}")
-        for name in ("step", "t_max", "grad_tol", "boundary_floor"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            try:
+                value = _number(getattr(self, f.name), type(f.default))
+            except ValueError as exc:
+                raise ContractError(f"{f.name}: {exc}") from exc
+            if value <= 0:
+                raise ContractError(f"{f.name} must be positive")
+            setattr(self, f.name, value)
         if self.grad_tol >= 1:
             raise ContractError("grad_tol must be < 1")
-        if int(self.record_every) != self.record_every or self.record_every <= 0:
-            raise ContractError("record_every must be a positive integer")
-        self.record_every = int(self.record_every)
+
+
+def _number(value, kind):
+    """``value`` as ``kind`` (int or float), the rule for numbers read from
+    outside the program: a bool, a non-number, a value no float holds
+    finitely, or one that ``kind`` does not hold exactly raises ValueError."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and kind(value) == value):
+            return kind(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
 
 
 @dataclass

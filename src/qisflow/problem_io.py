@@ -16,7 +16,7 @@ import yaml
 
 from .errors import ContractError
 from .gradient import cost_vector
-from .integrate import FlowTrajectory, IntegrationParams
+from .integrate import FlowTrajectory, IntegrationParams, _number
 from .qis_core import _check_finite, density_state
 from .randstate import random_density, random_simplex_point
 from .simplex import check_simplex_point
@@ -59,7 +59,7 @@ def load_problem(path) -> Problem:
     if unknown:
         raise ContractError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        m = _convert(path, "m", _integer, doc["m"])
+        m = _convert(path, "m", _number, doc["m"], int)
         c = cost_vector(_convert(path, "c", _floats, doc["c"]))
     except KeyError as exc:
         raise ContractError(f"{path}: missing required field {exc}") from exc
@@ -106,7 +106,7 @@ def load_problem(path) -> Problem:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = _convert(path, "seed", _integer, seed)
+        seed = _convert(path, "seed", _number, seed, int)
         if seed < 0:
             raise ContractError(f"{path}: field 'seed' must be >= 0")
     return Problem(m=m, c=c, init_kind=kind, init_data=data, params=params, seed=seed)
@@ -122,54 +122,45 @@ def _floats(value) -> np.ndarray:
     return floats
 
 
-def _integer(value) -> int:
-    """``value`` as an int; as for ``record_every``, a bool or a number with a
-    fractional part is malformed."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _convert(path, name: str, convert, value):
-    """``convert(value)``, with a malformed value reported as a ContractError."""
+def _convert(path, name: str, convert, value, *args):
+    """``convert(value, *args)``, with a malformed value reported as a ContractError."""
     try:
-        return convert(value)
+        return convert(value, *args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"{path}: field {name!r} is malformed: {exc}") from exc
 
 
 def initial_density(problem: Problem, seed: int | None = None) -> np.ndarray:
     """Build the initial density matrix declared by a problem."""
-    m = problem.m
-    if problem.init_kind == "barycenter":
-        return np.eye(m, dtype=np.complex128) / m
-    if problem.init_kind == "diagonal":
-        return np.diag(check_simplex_point(problem.init_data)).astype(np.complex128)
     if problem.init_kind == "matrix":
         return density_state(problem.init_data, floor=0.0)
-    rng = np.random.default_rng(_pick_seed(problem, seed))
-    return random_density(rng, m)
+    if problem.init_kind == "random":
+        return random_density(_rng(problem, seed), problem.m)
+    return np.diag(_simplex_init(problem)).astype(np.complex128)
 
 
 def initial_simplex(problem: Problem, seed: int | None = None) -> np.ndarray:
     """Build the initial simplex point; matrix inits are rejected."""
-    m = problem.m
-    if problem.init_kind == "barycenter":
-        return np.full(m, 1.0 / m)
-    if problem.init_kind == "diagonal":
-        return check_simplex_point(problem.init_data)
     if problem.init_kind == "matrix":
         raise ContractError("matrix init requires the matrix flow")
-    rng = np.random.default_rng(_pick_seed(problem, seed))
-    return random_simplex_point(rng, m)
+    if problem.init_kind == "random":
+        return random_simplex_point(_rng(problem, seed), problem.m)
+    return _simplex_init(problem)
 
 
-def _pick_seed(problem: Problem, override: int | None) -> int:
-    if override is not None:
-        return override
-    if problem.seed is not None:
-        return problem.seed
-    raise ContractError("random init needs a seed (problem file, --seed, or QISFLOW_SEED)")
+def _simplex_init(problem: Problem) -> np.ndarray:
+    """The barycenter, or the checked point of a diagonal init."""
+    if problem.init_kind == "barycenter":
+        return np.full(problem.m, 1.0 / problem.m)
+    return check_simplex_point(problem.init_data)
+
+
+def _rng(problem: Problem, override: int | None):
+    """A generator seeded by ``override``, else by the problem file's seed."""
+    seed = override if override is not None else problem.seed
+    if seed is None:
+        raise ContractError("random init needs a seed (problem file, --seed, or QISFLOW_SEED)")
+    return np.random.default_rng(seed)
 
 
 def _matrix_rows(traj: FlowTrajectory, extra=None):

@@ -10,9 +10,9 @@ turns raw draws into the instance and takes stacks, with leading axes, so a
 caller can draw many instances first and shape them in one call each; the
 result is the same, bit for bit, as shaping each instance alone.
 
-Eigenvalue spectra are kept away from the boundary (mixing with the uniform
-distribution) so metric values stay at a scale where the stated absolute
-tolerances are meaningful.
+Eigenvalue spectra are kept away from the boundary (mixed ``MIX`` of the way
+toward the uniform distribution) so metric values stay at a scale where the
+stated absolute tolerances are meaningful.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .qis_core import _dagger, _traceless_hermitian
 COST_LOW, COST_HIGH = 0.5, 6.0
 LP_COST_GAP = 0.2
 LP_COST_ATTEMPTS = 1000
+MIX = 0.5
 
 
 def _complex(z: np.ndarray) -> np.ndarray:
@@ -50,9 +51,9 @@ def unitary_from(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def simplex_point_from(x: np.ndarray, mix: float = 0.5) -> np.ndarray:
-    """Mix simplex points x (..., m) toward the barycenter."""
-    return (1.0 - mix) * x + mix / x.shape[-1]
+def simplex_point_from(x: np.ndarray) -> np.ndarray:
+    """Mix simplex points x (..., m) ``MIX`` of the way toward the barycenter."""
+    return (1.0 - MIX) * x + MIX / x.shape[-1]
 
 
 def simplex_tangent_from(u: np.ndarray) -> np.ndarray:
@@ -60,9 +61,9 @@ def simplex_tangent_from(u: np.ndarray) -> np.ndarray:
     return u - u.mean(axis=-1, keepdims=True)
 
 
-def density_from(x: np.ndarray, z: np.ndarray, mix: float = 0.5) -> np.ndarray:
-    """(h theta) h† with theta = ``simplex_point_from(x, mix)``, h = ``unitary_from(z)``."""
-    theta = simplex_point_from(x, mix)
+def density_from(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(h theta) h† with theta = ``simplex_point_from(x)``, h = ``unitary_from(z)``."""
+    theta = simplex_point_from(x)
     h = unitary_from(z)
     return (h * theta[..., None, :]) @ _dagger(h)
 
@@ -92,10 +93,10 @@ def random_simplex_tangent(rng, m: int) -> np.ndarray:
     return simplex_tangent_from(rng.standard_normal(m))
 
 
-def random_density(rng, m: int, mix: float = 0.5) -> np.ndarray:
+def random_density(rng, m: int) -> np.ndarray:
     """Random regular density matrix with a well-conditioned spectrum."""
     x = spectrum_from(rng.standard_exponential(m))
-    return density_from(x, rng.standard_normal((2, m, m)), mix)
+    return density_from(x, rng.standard_normal((2, m, m)))
 
 
 def random_tangent(rng, m: int) -> np.ndarray:

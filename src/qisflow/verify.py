@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .gradient import _grad_K, _potential_K
+from .gradient import _field_K, _potential_K
 from .lift import ambient_metric, horizontal_lift, lift_point, pi_differential
 from .lift import r_metric as reduced_metric
 from .qis_core import _dagger, _scalar, qf_metric
@@ -171,7 +171,7 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
     worst_matrix = 0.0
     worst_simplex = 0.0
     for c, rho, xi2, x, u2 in _gradient_blocks(seed, count):
-        grad = np.stack([_grad_K(*case) for case in zip(rho, c)])
+        grad = -np.stack([_field_K(*case) for case in zip(rho, c)])
         grad_x = -np.stack([_karmarkar_field(*case) for case in zip(x, c)])
         fd = fd_potential_derivative(rho, c, xi2)
         fd_x = fd_kappa_derivative(x, c, u2)

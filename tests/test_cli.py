@@ -355,6 +355,19 @@ class TestSolveLp:
         assert float(lines["t_final"]) == pytest.approx(0.2)
         assert int(lines["records"]) == 5  # t=0 plus 4 chunks of 5 steps
 
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    def test_integer_valued_params_give_float_times(self, tmp_path, capsys, command):
+        prob = write_problem(tmp_path / "p.yaml", {
+            "m": 2, "c": [2.0, 1.0], "params": {"step": 1, "t_max": 3, "record_every": 1},
+        })
+        assert main([command[0], prob, "-o", str(tmp_path / "t.csv"), *command[1:]]) == 0
+        lines = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert lines["stop_reason"] == "t_max_reached"
+        assert lines["t_final"] == "3.0"
+
 
 class TestFlowCommand:
     def test_nondiagonal_run_descends(self, tmp_path, capsys):
@@ -435,10 +448,14 @@ class TestExitCodes:
         ("m: 2\nc: [1.0, 2.0]\ninit:\n  matrix:\n    real: [[0.5, \"0\"], [0, 0.5]]\n", []),
         ("m: 2\nc: [1.0, 2.0]\ninit:\n  matrix:\n    real: [[0.5, 0], [0, 0.5]]\n"
          "    imag: [[0, false], [false, 0]]\n", []),
+        (f"m: 2\nc: [1.0, 2.0]\nparams: {{t_max: {10**400}}}\n", []),
+        (f"m: 2\nc: [1.0, 2.0]\nparams: {{record_every: {10**400}}}\n", []),
+        ("m: 2\nc: [1.0, 2.0]\n", ["--record-every", str(10**400)]),
     ], ids=["m-abc", "c-x", "c-inf", "seed-abc", "seed-negative", "step-fast", "step-nan",
             "flag-step-nan", "t_max-inf", "flag-grad-tol-nan", "m-fraction", "m-bool",
             "seed-fraction", "c-bool", "c-string", "diagonal-string", "matrix-real-string",
-            "matrix-imag-bool"])
+            "matrix-imag-bool", "t_max-huge-int", "record_every-huge-int",
+            "flag-record-every-huge-int"])
     def test_malformed_value_is_validation_error(self, tmp_path, capsys, text, flags):
         prob = tmp_path / "p.yaml"
         prob.write_text(text)

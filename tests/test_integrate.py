@@ -12,9 +12,15 @@ from qisflow import (
     stationarity_norm,
 )
 from qisflow.integrate import STOP_BOUNDARY, STOP_STATIONARY, STOP_TMAX
-from qisflow.qis_core import density_state
+from qisflow.qis_core import _dagger, density_state
 from qisflow.gradient import grad_K
-from qisflow.randstate import random_cost, random_density, random_tangent
+from qisflow.randstate import (
+    random_cost,
+    random_density,
+    random_tangent,
+    spectrum_from,
+    unitary_from,
+)
 
 
 class TestParams:
@@ -25,11 +31,16 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [{"step": 0.0}, {"t_max": -1.0}, {"grad_tol": 2.0}, {"record_every": 0},
-         {"boundary_floor": -1e-10}],
+         {"boundary_floor": -1e-10}, {"t_max": 10**400}, {"record_every": 10**400}],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ContractError):
             IntegrationParams(**kwargs)
+
+    def test_integer_valued_floats_are_stored_as_floats(self):
+        p = IntegrationParams(step=1, t_max=3, record_every=2.0)
+        assert type(p.step) is float and p.step == 1.0
+        assert type(p.t_max) is float and type(p.record_every) is int
 
 
 def eigenbasis_stationarity_norm(rho, c):
@@ -40,13 +51,22 @@ def eigenbasis_stationarity_norm(rho, c):
     return float(np.sqrt(2.0 * np.sum(np.abs(chi) ** 2 / (theta[:, None] + theta[None, :]))))
 
 
+def ill_conditioned_density(rng, m):
+    """``random_density`` with its spectrum mixed only 1e-3 to 1 of the way
+    toward the barycenter, the mix drawn first: eigenvalues reach about 1e-3/m."""
+    mix = 10.0 ** rng.uniform(-3, 0)
+    x = spectrum_from(rng.standard_exponential(m))
+    h = unitary_from(rng.standard_normal((2, m, m)))
+    return (h * ((1.0 - mix) * x + mix / m)) @ _dagger(h)
+
+
 class TestStationarity:
     def test_matches_eigenbasis_oracle(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
         for i in range(1000):
             m = int(rng.integers(2, 17))
-            rho = random_density(rng, m, mix=10.0 ** rng.uniform(-3, 0))
+            rho = ill_conditioned_density(rng, m)
             c = random_cost(rng, m) * (1e3 if i % 2 else 1.0)
             want = eigenbasis_stationarity_norm(rho, c)
             worst = max(worst, abs(stationarity_norm(rho, c) - want) / want)
@@ -158,6 +178,25 @@ class TestMatrixFlow:
         assert len(traj.states) > 100
         for rho in traj.states:
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+
+    def test_driver_keeps_states_exactly_hermitian(self):
+        # the kernel does not symmetrize: the driver's one hermitian_part at
+        # the start and the field must keep every state exactly Hermitian,
+        # from random_density states (Hermitian within round-off) and from
+        # real symmetric ones alike
+        rng = np.random.default_rng(9)
+        starts = 0
+        for m in (2, 3, 5, 8):
+            c = random_cost(rng, m)
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            for rho0 in (random_density(rng, m), (q * np.linspace(1, 2, m) / (1.5 * m)) @ q.T):
+                starts += not np.array_equal(rho0, rho0.conj().T)
+                traj = integrate_matrix(
+                    rho0, c, IntegrationParams(t_max=0.5, grad_tol=1e-15, record_every=1))
+                assert len(traj.states) >= 20
+                for rho in traj.states:
+                    assert np.array_equal(rho, rho.conj().T)
+        assert starts > 0
 
     def test_unsymmetrized_initial_state_is_recorded_hermitian(self):
         rho0 = random_density(np.random.default_rng(7), 4)

@@ -12,6 +12,7 @@ from qisflow._kernels import (
     simplex_rhs,
 )
 from qisflow.gradient import grad_K
+from qisflow.qis_core import hermitian_part
 from qisflow.simplex import grad_kappa, karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
 
@@ -131,7 +132,7 @@ class TestAdvance:
 
     def test_matrix_preserves_structure(self):
         rng = np.random.default_rng(2)
-        rho = random_density(rng, 3)
+        rho = hermitian_part(random_density(rng, 3))
         c = np.array([1.0, -2.0, 0.5])
         rn, steps, status = advance_matrix(rho, c, 1e-2, 50, 1e-12)
         assert status == STATUS_OK and steps == 50

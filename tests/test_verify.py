@@ -41,7 +41,7 @@ def test_gradient_suite_passes_on_round_off_seeds(seed):
 
 
 @pytest.mark.parametrize("name, label", [
-    ("_grad_K", "matrix_gradient_fd_relative"),
+    ("_field_K", "matrix_gradient_fd_relative"),
     ("_karmarkar_field", "simplex_gradient_fd_relative"),
 ])
 def test_scaled_gradient_fails(monkeypatch, name, label):
