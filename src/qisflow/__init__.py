@@ -28,7 +28,6 @@ from .lift import (
     project_pi,
     r_metric,
     tuple_state,
-    vertical_component_check,
     vertical_project,
 )
 from .qis_core import (

@@ -41,6 +41,8 @@ class IntegrationParams:
             setattr(self, f.name, value)
         if self.grad_tol >= 1:
             raise ContractError("grad_tol must be < 1")
+        if not math.isfinite(self.t_max / self.step):
+            raise ContractError("t_max / step must be finite")
 
 
 def _number(value, kind):

@@ -25,7 +25,6 @@ from .qis_core import (
     sld,
     spectral_decompose,
 )
-from .randstate import random_anti_hermitian
 
 
 def min_qubits(m: int) -> int:
@@ -148,17 +147,3 @@ def vertical_project(phi, x) -> np.ndarray:
     keep = den > g.shape[0] * np.finfo(np.float64).eps * np.max(g)
     eta = np.divide(r, den, out=np.zeros_like(r), where=keep)
     return u @ eta @ u.conj().T @ phi
-
-
-def random_vertical(phi, rng) -> np.ndarray:
-    """A random vertical vector eta Phi with eta random anti-Hermitian."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    return random_anti_hermitian(rng, phi.shape[0]) @ phi
-
-
-def vertical_component_check(phi, x, rng) -> float:
-    """Inner product of the horizontal part of ``x`` against a random vertical
-    vector; near zero certifies orthogonality of the splitting."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    horizontal = np.asarray(x, dtype=np.complex128) - vertical_project(phi, x)
-    return ambient_metric(horizontal, random_vertical(phi, rng))

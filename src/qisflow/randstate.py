@@ -1,14 +1,18 @@
-"""Seeded generators for random states, tangents, and unitaries.
+"""Seeded random densities, simplex points and costs, and the shaping
+functions that turn raw draws into states, tangents and unitaries.
 
-Each generator is a draw and a shape.  The draw takes from ``rng`` what the
-instance needs, in a fixed order: a spectrum where there is one, as one
+Each ``random_*`` generator is a draw and a shape.  The draw takes from
+``rng`` what the instance needs, in a fixed order: a spectrum where there is one, as one
 ``standard_exponential`` call normalized by ``spectrum_from``, then all of
 the instance's Gaussians in one ``standard_normal`` call.  The shape
 (``spectrum_from``, ``unitary_from``, ``density_from``, ``tangent_from``,
 ``anti_hermitian_from``, ``simplex_point_from``, ``simplex_tangent_from``)
 turns raw draws into the instance and takes stacks, with leading axes, so a
 caller can draw many instances first and shape them in one call each; the
-result is the same, bit for bit, as shaping each instance alone.
+result is the same, bit for bit, as shaping each instance alone.  The
+per-case generators of tangents, unitaries and anti-Hermitian matrices, the
+draw oracle that the verify suites are pinned against, are in
+``tests/oracles.py``.
 
 Eigenvalue spectra are kept away from the boundary (mixed ``MIX`` of the way
 toward the uniform distribution) so metric values stay at a scale where the
@@ -19,12 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
 from .qis_core import _dagger, _traceless_hermitian
 
 COST_LOW, COST_HIGH = 0.5, 6.0
-LP_COST_GAP = 0.2
-LP_COST_ATTEMPTS = 1000
 MIX = 0.5
 
 
@@ -79,18 +80,9 @@ def anti_hermitian_from(z: np.ndarray) -> np.ndarray:
     return 0.5 * (a - _dagger(a))
 
 
-def random_unitary(rng, dim: int) -> np.ndarray:
-    """Haar-ish unitary via QR of a complex Gaussian matrix."""
-    return unitary_from(rng.standard_normal((2, dim, dim)))
-
-
 def random_simplex_point(rng, m: int) -> np.ndarray:
     """Random interior simplex point, mixed halfway toward the barycenter."""
     return simplex_point_from(spectrum_from(rng.standard_exponential(m)))
-
-
-def random_simplex_tangent(rng, m: int) -> np.ndarray:
-    return simplex_tangent_from(rng.standard_normal(m))
 
 
 def random_density(rng, m: int) -> np.ndarray:
@@ -99,40 +91,8 @@ def random_density(rng, m: int) -> np.ndarray:
     return density_from(x, rng.standard_normal((2, m, m)))
 
 
-def random_tangent(rng, m: int) -> np.ndarray:
-    """Random traceless Hermitian matrix."""
-    return tangent_from(rng.standard_normal((2, m, m)))
-
-
-def random_anti_hermitian(rng, dim: int) -> np.ndarray:
-    """Random anti-Hermitian matrix (A - A†)/2, A complex Gaussian."""
-    return anti_hermitian_from(rng.standard_normal((2, dim, dim)))
-
-
 def random_cost(rng, m: int) -> np.ndarray:
     """Random nonvanishing cost vector with mixed signs, |c_j| in [COST_LOW, COST_HIGH]."""
     mag = rng.uniform(COST_LOW, COST_HIGH, m)
     sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     return mag * sign
-
-
-def random_lp_cost(rng, m: int) -> np.ndarray:
-    """Cost vector for LP runs: entries at least ``LP_COST_GAP`` apart, negative minimum.
-
-    The projective-scaling flow reaches the optimal vertex from the barycenter
-    when the smallest cost is negative; with an all-positive cost the interior
-    harmonic point attracts instead.  Draws are rejection-sampled; the
-    acceptance rate falls fast with m (1 draw in 4,000 at m = 20), so after
-    ``LP_COST_ATTEMPTS`` rejections a ``ContractError`` is raised.
-    """
-    for _ in range(LP_COST_ATTEMPTS):
-        c = random_cost(rng, m)
-        if c.min() > 0:
-            c[np.argmin(np.abs(c))] *= -1.0
-        d = np.sort(c)
-        if np.min(np.diff(d)) >= LP_COST_GAP:
-            return c
-    raise ContractError(
-        f"no cost vector of length m={m} with pairwise gap {LP_COST_GAP:g} "
-        f"in {LP_COST_ATTEMPTS} draws"
-    )

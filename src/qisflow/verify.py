@@ -3,13 +3,15 @@
 Each suite returns a list of ``CheckResult`` records (identity label, max
 observed error over all cases, tolerance).  The CLI prints them; tests assert
 on them.  A suite draws the raw numbers of its cases one by one from its
-seed, in the order of the ``randstate.random_*`` calls of one case (a
+seed, in the order of the ``random_*`` calls of one case (a
 spectrum is one ``standard_exponential`` call, normalized by
 ``randstate.spectrum_from``), stacks them into blocks of up to ``BLOCK``
 cases of one size, shapes the instances once per block with the
 ``randstate`` shaping functions, and checks each identity once per block.
 ``verify --seed k`` so checks exactly the instances that per-case
-``random_*`` calls would draw.
+``random_*`` calls would draw; those generators are the ``randstate`` ones
+and, for tangents, unitaries and anti-Hermitian matrices, the test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _blocks(seed: int, count: int, sizes, draw):
 
 
 # Each suite's block generator draws its cases one by one, exactly as the
-# ``randstate.random_*`` calls of the suite's per-case form would, and shapes
+# ``random_*`` calls of the suite's per-case form would, and shapes
 # the instances once per block.
 
 def _metric_blocks(seed: int, count: int):

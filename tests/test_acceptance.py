@@ -16,8 +16,9 @@ from qisflow import (
     integrate_simplex,
     nearest_vertex,
 )
-from qisflow.randstate import random_density, random_lp_cost
+from qisflow.randstate import random_density
 from qisflow.verify import gradient_suite, isometry_suite, lift_suite, metric_suite
+from oracles import random_lp_cost
 
 
 def report(num: int, label: str, passed: bool) -> None:

@@ -451,11 +451,12 @@ class TestExitCodes:
         (f"m: 2\nc: [1.0, 2.0]\nparams: {{t_max: {10**400}}}\n", []),
         (f"m: 2\nc: [1.0, 2.0]\nparams: {{record_every: {10**400}}}\n", []),
         ("m: 2\nc: [1.0, 2.0]\n", ["--record-every", str(10**400)]),
+        ("m: 2\nc: [1.0, 2.0]\n", ["--t-max", "1e300", "--step", "1e-300"]),
     ], ids=["m-abc", "c-x", "c-inf", "seed-abc", "seed-negative", "step-fast", "step-nan",
             "flag-step-nan", "t_max-inf", "flag-grad-tol-nan", "m-fraction", "m-bool",
             "seed-fraction", "c-bool", "c-string", "diagonal-string", "matrix-real-string",
             "matrix-imag-bool", "t_max-huge-int", "record_every-huge-int",
-            "flag-record-every-huge-int"])
+            "flag-record-every-huge-int", "flag-t_max-over-step-overflows"])
     def test_malformed_value_is_validation_error(self, tmp_path, capsys, text, flags):
         prob = tmp_path / "p.yaml"
         prob.write_text(text)

@@ -11,8 +11,9 @@ from qisflow import (
     qf_metric,
 )
 from qisflow._kernels import matrix_rhs
-from qisflow.randstate import random_cost, random_density, random_tangent
+from qisflow.randstate import random_cost, random_density
 from qisflow.verify import fd_potential_derivative
+from oracles import random_tangent
 
 
 class TestCostVector:

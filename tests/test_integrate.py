@@ -11,16 +11,23 @@ from qisflow import (
     simplex_stationarity_norm,
     stationarity_norm,
 )
-from qisflow.integrate import STOP_BOUNDARY, STOP_STATIONARY, STOP_TMAX
+from qisflow.integrate import (
+    STOP_BOUNDARY,
+    STOP_STATIONARY,
+    STOP_TMAX,
+    _simplex_stationarity_norm,
+    _stationarity_norm,
+)
 from qisflow.qis_core import _dagger, density_state
 from qisflow.gradient import grad_K
 from qisflow.randstate import (
     random_cost,
     random_density,
-    random_tangent,
+    random_simplex_point,
     spectrum_from,
     unitary_from,
 )
+from oracles import random_lp_cost, random_tangent
 
 
 class TestParams:
@@ -31,7 +38,8 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [{"step": 0.0}, {"t_max": -1.0}, {"grad_tol": 2.0}, {"record_every": 0},
-         {"boundary_floor": -1e-10}, {"t_max": 10**400}, {"record_every": 10**400}],
+         {"boundary_floor": -1e-10}, {"t_max": 10**400}, {"record_every": 10**400},
+         {"t_max": 1e300, "step": 1e-300}],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ContractError):
@@ -304,6 +312,41 @@ def test_drivers_reject_a_cost_of_the_wrong_length(c):
         integrate_simplex(np.array([0.25, 0.75]), c)
 
 
+ORDER_STEPS = (0.1, 0.05, 0.025)
+
+
+def dense_cases():
+    """(rho0, c): four LP costs with dense starts, m 4-5, rho0 far from
+    commuting with C."""
+    rng = np.random.default_rng(109)
+    for _ in range(4):
+        m = int(rng.integers(4, 6))
+        rho0, c = random_density(rng, m), random_lp_cost(rng, m)
+        assert np.linalg.norm(rho0 * c - c[:, None] * rho0) > 0.1
+        yield rho0, c
+
+
+def order_params(h, record_every):
+    """Step h to t = 1, with stop rules that do not fire first."""
+    return IntegrationParams(step=h, t_max=1.0, grad_tol=1e-16, boundary_floor=1e-14,
+                             record_every=record_every)
+
+
+def observed_orders(errs):
+    """log2 of the ratio of each error to the next, for steps that halve."""
+    return [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
+
+
+def dissipation_residual(traj, c, norm):
+    """|K(0) - K(T) - integral of norm^2|, the integral by composite Simpson
+    over records one step apart."""
+    assert traj.stop_reason == STOP_TMAX and len(traj.states) % 2 == 1
+    sq = np.array([norm(state, c) ** 2 for state in traj.states])
+    h = traj.times[1] - traj.times[0]
+    integral = h / 3 * (sq[0] + 4 * sq[1:-1:2].sum() + 2 * sq[2:-1:2].sum() + sq[-1])
+    return abs(traj.potential_values[0] - traj.potential_values[-1] - integral)
+
+
 class TestOrder:
     def test_rk4_step_halving(self):
         x0 = np.array([0.5, 0.3, 0.2])
@@ -318,3 +361,39 @@ class TestOrder:
         errs = [np.max(np.abs(endpoint(h) - ref)) for h in (0.1, 0.05, 0.025)]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
+
+    # The dense, non-commuting matrix flow has no closed form, so its order is
+    # measured against a fine step, and the recorded potential and
+    # stationarity norm are checked against each other through the
+    # energy-dissipation equality of a gradient flow,
+    # K(0) - K(T) = integral over [0, T] of |grad K|^2.
+
+    def test_dense_matrix_flow_step_halving(self):
+        for rho0, c in dense_cases():
+            def endpoint(h):
+                return integrate_matrix(rho0, c, order_params(h, 10**6)).final_state
+
+            ref = endpoint(1.0 / 1024)
+            errs = [np.max(np.abs(endpoint(h) - ref)) for h in ORDER_STEPS]
+            assert min(observed_orders(errs)) >= 3.5
+
+    def test_dense_matrix_flow_dissipation(self):
+        for rho0, c in dense_cases():
+            residuals = [
+                dissipation_residual(integrate_matrix(rho0, c, order_params(h, 1)), c,
+                                     _stationarity_norm)
+                for h in ORDER_STEPS
+            ]
+            assert min(observed_orders(residuals)) >= 3.5
+
+    def test_simplex_flow_dissipation(self):
+        rng = np.random.default_rng(109)
+        for _ in range(4):
+            m = int(rng.integers(4, 6))
+            x0, c = random_simplex_point(rng, m), random_lp_cost(rng, m)
+            residuals = [
+                dissipation_residual(integrate_simplex(x0, c, order_params(h, 1)), c,
+                                     _simplex_stationarity_norm)
+                for h in ORDER_STEPS
+            ]
+            assert min(observed_orders(residuals)) >= 3.5

@@ -146,6 +146,35 @@ class TestAdvance:
         assert np.array_equal(rn, rho)
 
 
+def diagonal_cases(seed, count):
+    """(x, c, h, nsteps, floor): m 2-32, cost scales 1e-2-1e2, steps 1e-3-0.2
+    and floors 1e-12-1e-2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 33))
+        x = random_simplex_point(rng, m)
+        c = random_cost(rng, m) * 10.0 ** rng.uniform(-2, 2)
+        yield x, c, 10.0 ** rng.uniform(-3, np.log10(0.2)), int(rng.integers(1, 200)), \
+            10.0 ** rng.uniform(-12, -2)
+
+
+def test_matrix_kernel_on_real_diagonal_states_is_the_simplex_kernel():
+    """The dense kernel keeps a real diagonal state diagonal, bit for bit, and
+    its diagonal is the simplex kernel's state, step count and status: what
+    running commuting problems on the simplex kernel relies on.  Complex128
+    states differ in the last bits, so the states are real float64."""
+    statuses = set()
+    for x, c, h, nsteps, floor in diagonal_cases(31, 150):
+        rho, steps, status = advance_matrix(np.diag(x), c, h, nsteps, floor)
+        want, want_steps, want_status = advance_simplex(x, c, h, nsteps, floor)
+        assert (steps, status) == (want_steps, want_status)
+        assert rho.dtype == np.float64
+        assert np.array_equal(np.diag(rho), want)
+        assert not (rho - np.diag(np.diag(rho))).any()
+        statuses.add(status)
+    assert {STATUS_OK, STATUS_BOUNDARY, STATUS_LEFT_DOMAIN} <= statuses
+
+
 class TestRealPath:
     """C is real, so the matrix flow keeps a real symmetric state real, and
     the same kernel runs in real arithmetic on it."""

@@ -13,11 +13,10 @@ from qisflow import (
     qf_metric,
     r_metric,
     tuple_state,
-    vertical_component_check,
     vertical_project,
 )
-from qisflow.lift import random_vertical
-from qisflow.randstate import random_density, random_tangent, random_unitary
+from qisflow.randstate import random_density
+from oracles import random_tangent, random_unitary, random_vertical, vertical_component_check
 
 
 def alpha_matrix(theta, chi):

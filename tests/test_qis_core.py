@@ -13,7 +13,8 @@ from qisflow import (
     spectral_decompose,
     tangent_state,
 )
-from qisflow.randstate import random_density, random_tangent, random_unitary
+from qisflow.randstate import random_density
+from oracles import random_tangent, random_unitary
 
 
 class TestValidation:

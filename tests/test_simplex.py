@@ -14,12 +14,9 @@ from qisflow import (
     pushforward_mu,
     simplex_metric,
 )
-from qisflow.randstate import (
-    random_cost,
-    random_simplex_point,
-    random_simplex_tangent,
-)
+from qisflow.randstate import random_cost, random_simplex_point
 from qisflow.verify import fd_kappa_derivative
+from oracles import random_simplex_tangent
 
 
 def brute_force_grad_kappa(x, c, h=1e-6):

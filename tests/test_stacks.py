@@ -35,12 +35,10 @@ from qisflow.randstate import (
     random_cost,
     random_density,
     random_simplex_point,
-    random_simplex_tangent,
-    random_tangent,
-    random_unitary,
 )
 from qisflow.simplex import _potential_kappa, potential_kappa
 from qisflow.verify import fd_kappa_derivative, fd_potential_derivative
+from oracles import random_simplex_tangent, random_tangent, random_unitary
 
 M = 3
 STACK = (2, 3)

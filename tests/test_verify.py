@@ -9,17 +9,12 @@ from qisflow.lift import (
     lift_point,
     pi_differential,
     r_metric,
-    random_vertical,
 )
 from qisflow.qis_core import qf_metric
 from qisflow.randstate import (
-    random_anti_hermitian,
     random_cost,
     random_density,
     random_simplex_point,
-    random_simplex_tangent,
-    random_tangent,
-    random_unitary,
 )
 from qisflow.simplex import check_isometry, grad_kappa, simplex_metric
 from qisflow.verify import (
@@ -27,6 +22,13 @@ from qisflow.verify import (
     fd_kappa_derivative,
     fd_potential_derivative,
     gradient_suite,
+)
+from oracles import (
+    random_anti_hermitian,
+    random_simplex_tangent,
+    random_tangent,
+    random_unitary,
+    random_vertical,
 )
 
 # Seeds on which a central difference at step 1e-5 exceeded the 1e-6 relative
