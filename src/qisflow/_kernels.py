@@ -4,9 +4,10 @@ Step status codes: 0 = completed all steps, 1 = boundary floor crossed,
 2 = non-finite values, 3 = a step left the domain (lowest eigenvalue or
 coordinate <= 0 after renormalization; the last good state is returned).
 
-A simplex step costs numpy call overhead, not arithmetic, so its reductions
-are called as ufunc methods: the same bits as ``np.sum``, ``np.min`` and
-``ndarray.all`` without their Python wrappers.
+A simplex step, and much of a small matrix step, costs numpy call overhead,
+not arithmetic, so the reductions are called as ufunc methods: the same bits
+as ``np.sum``, ``np.min``, ``ndarray.all`` and ``ndarray.trace`` without their
+Python wrappers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def matrix_rhs(rho, c):
 
 
 def _matrix_norm(rho):
-    return rho.trace().real
+    return np.add.reduce(rho.diagonal()).real
 
 
 def _matrix_lowest(rho):

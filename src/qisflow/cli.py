@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ContractError, NumericError, QisflowError
+from .errors import ContractError, NumericError, ParamError, QisflowError
 from .integrate import IntegrationParams, integrate_matrix, integrate_simplex, nearest_vertex
 from .problem_io import initial_density, initial_simplex, load_problem, write_trajectory
 from .verify import run_suite
@@ -72,10 +72,16 @@ _parser = functools.cache(build_parser)
 
 
 def _resolve_params(problem, args) -> IntegrationParams:
-    """The problem file's params, with each flag that was given in its place."""
-    return dataclasses.replace(problem.params, **{
-        f.name: getattr(args, f.name) for f in dataclasses.fields(IntegrationParams)
-        if getattr(args, f.name) is not None})
+    """The problem file's params, with each flag that was given in its place;
+    an invalid value is named by its flag."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegrationParams)
+             if getattr(args, f.name) is not None}
+    try:
+        return dataclasses.replace(problem.params, **flags)
+    except ParamError as exc:
+        raise ContractError(exc.labelled(
+            lambda name: "--" + name.replace("_", "-") if name in flags else name
+        )) from exc
 
 
 def _seed(args) -> int | None:

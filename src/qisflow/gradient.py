@@ -68,10 +68,11 @@ def _field_K(rho, c) -> np.ndarray:
     """The flow field ``-grad_K`` without validation; the RK4 right-hand side returns it.
 
     With P = rho (C rho + rho C) it is (tr P / 2) rho - (P + P†)/4, one matrix
-    product; the result is exactly Hermitian whenever rho is.
+    product; the result is exactly Hermitian whenever rho is.  tr P is the
+    reduction ``ndarray.trace`` makes, called without its wrapper.
     """
     p = rho @ (c[:, None] * rho + rho * c)
-    return (0.5 * p.trace().real) * rho - 0.25 * (p + p.conj().T)
+    return (0.5 * np.add.reduce(p.diagonal()).real) * rho - 0.25 * (p + p.conj().T)
 
 
 def _validated(rho, c) -> tuple[np.ndarray, np.ndarray]:

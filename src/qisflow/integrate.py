@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
-from .errors import ContractError, NumericError
+from .errors import NumericError, ParamError
 from . import gradient, simplex
 from .gradient import _m_operator_K, _potential_K
 from .qis_core import check_density, hermitian_part
@@ -35,14 +35,14 @@ class IntegrationParams:
             try:
                 value = _number(getattr(self, f.name), type(f.default))
             except ValueError as exc:
-                raise ContractError(f"{f.name}: {exc}") from exc
+                raise ParamError((f.name,), f"is malformed: {exc}") from exc
             if value <= 0:
-                raise ContractError(f"{f.name} must be positive")
+                raise ParamError((f.name,), "must be positive")
             setattr(self, f.name, value)
         if self.grad_tol >= 1:
-            raise ContractError("grad_tol must be < 1")
+            raise ParamError(("grad_tol",), "must be < 1")
         if not math.isfinite(self.t_max / self.step):
-            raise ContractError("t_max / step must be finite")
+            raise ParamError(("t_max", "step"), "must be finite")
 
 
 def _number(value, kind):

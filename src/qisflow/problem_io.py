@@ -3,7 +3,8 @@
 Problem files are YAML (key-value with nested arrays); complex matrices are
 given as separate real/imag blocks.  Trajectories are written as CSV or as a
 structured YAML equivalent; both re-parse bit-exactly (floats are emitted with
-shortest round-trip repr).
+shortest round-trip repr).  The writer builds the rows one block of records at
+a time as a float64 array, and CSV memory holds one block, not the whole table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .errors import ContractError
+from .errors import ContractError, ParamError
 from .gradient import cost_vector
 from .integrate import FlowTrajectory, IntegrationParams, _number
 from .qis_core import _check_finite, density_state
@@ -30,8 +31,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # and writes the same bytes
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-# States per eigvalsh call in the matrix writer: one call per block, not per
-# row, while the stacked copy stays small beside the trajectory itself
+# Records per block of the trajectory writer: one eigvalsh call per block of
+# matrix states, not per row, and one float64 array of the block's rows, which
+# stays small beside the trajectory itself; memory holds one block at a time
 _EIG_BLOCK = 64
 
 
@@ -102,7 +104,12 @@ def load_problem(path) -> Problem:
         raise ContractError(
             f"{path}: unknown params {sorted(set(raw_params) - allowed)}"
         )
-    params = IntegrationParams(**raw_params)
+    try:
+        params = IntegrationParams(**raw_params)
+    except ParamError as exc:
+        raise ContractError(
+            f"{path}: " + exc.labelled(lambda name: f"field 'params.{name}'")
+        ) from exc
 
     seed = doc.get("seed")
     if seed is not None:
@@ -163,68 +170,81 @@ def _rng(problem: Problem, override: int | None):
     return np.random.default_rng(seed)
 
 
-def _matrix_rows(traj: FlowTrajectory, extra=None):
+def _table(traj: FlowTrajectory, extra=None):
+    """The kind, the column names and the rows of a trajectory, the rows as
+    float64 arrays of at most ``_EIG_BLOCK`` records each."""
     m = traj.states[0].shape[0]
-    header = ["t"]
-    header += [f"re_{i}_{j}" for i in range(m) for j in range(m)]
-    header += [f"im_{i}_{j}" for i in range(m) for j in range(m)]
-    header += [f"eig_{k}" for k in range(1, m + 1)]
+    if traj.states[0].ndim == 2:
+        kind, header = "matrix", ["t"]
+        header += [f"re_{i}_{j}" for i in range(m) for j in range(m)]
+        header += [f"im_{i}_{j}" for i in range(m) for j in range(m)]
+        header += [f"eig_{k}" for k in range(1, m + 1)]
+    else:
+        kind, header = "simplex", ["t"] + [f"x_{j}" for j in range(1, m + 1)]
     header += ["potential"]
     if extra is not None:
         header += [extra[0]]
 
-    def rows():
-        states = traj.states
-        for start in range(0, len(states), _EIG_BLOCK):
-            eigs = np.linalg.eigvalsh(np.stack(states[start:start + _EIG_BLOCK])).tolist()
-            for idx, w in enumerate(eigs, start):
-                rho = states[idx]
-                row = [float(traj.times[idx])]
-                row += rho.real.ravel().tolist()
-                row += rho.imag.ravel().tolist()
-                row += w
-                row.append(float(traj.potential_values[idx]))
-                if extra is not None:
-                    row.append(float(extra[1][idx]))
-                yield row
+    def blocks():
+        for start in range(0, len(traj.states), _EIG_BLOCK):
+            rows = slice(start, start + _EIG_BLOCK)
+            stack = np.stack(traj.states[rows])
+            if kind == "matrix":
+                flat = stack.reshape(len(stack), -1)
+                states = [flat.real, flat.imag, np.linalg.eigvalsh(stack)]
+            else:
+                states = [stack]
+            columns = [traj.times[rows], *states, traj.potential_values[rows]]
+            if extra is not None:
+                columns.append(extra[1][rows])
+            yield np.column_stack(columns)
 
-    return header, rows()
+    return kind, header, blocks()
 
 
-def _simplex_rows(traj: FlowTrajectory):
-    m = traj.states[0].shape[0]
-    header = ["t"] + [f"x_{j}" for j in range(1, m + 1)] + ["potential"]
-    rows = (
-        [float(t)] + x.tolist() + [float(pot)]
-        for t, x, pot in zip(traj.times, traj.states, traj.potential_values)
-    )
-    return header, rows
+def _csv_lines(block):
+    """The CSV lines of a block of rows, one line's strings at a time.
+
+    Each entry is its shortest round-trip ``repr``.  A diagonal state's row is
+    mostly +0.0, so only the other entries are formatted: every +0.0 is the
+    one string "0.0", and -0.0, told apart from it by its sign bit, goes
+    through ``repr`` like any nonzero value.
+    """
+    width = block.shape[1]
+    formatted = (block != 0.0) | np.signbit(block)
+    for row, keep, count in zip(block, formatted, formatted.sum(axis=1).tolist()):
+        if count == width:  # no +0.0: a dense state's row, or a simplex row
+            line = map(repr, row.tolist())
+        else:
+            line = ["0.0"] * width
+            for j, v in zip(np.flatnonzero(keep).tolist(), row[keep].tolist()):
+                line[j] = repr(v)
+        yield ",".join(line)
 
 
 def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:
     """Write a trajectory as CSV or structured YAML.
 
     States that are matrices give 'matrix' rows, vectors 'simplex' rows;
-    ``extra`` is an optional (column_name, values) pair appended to matrix
-    output.  CSV rows are streamed one at a time in the csv module's default
-    dialect; no field needs quoting.
+    ``extra`` is an optional (column_name, values) pair appended as the last
+    column.  Rows are built ``_EIG_BLOCK`` records at a time, and CSV is
+    written block by block, so memory holds one block of rows, not the whole
+    table; its lines are in the csv module's default dialect, and no field
+    needs quoting.  Structured output dumps the whole table at once.
     """
-    if traj.states[0].ndim == 2:
-        kind, (header, rows) = "matrix", _matrix_rows(traj, extra)
-    else:
-        kind, (header, rows) = "simplex", _simplex_rows(traj)
-
+    kind, header, blocks = _table(traj, extra)
     if fmt == "csv":
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + "\r\n")
-            for row in rows:
-                f.write(",".join(map(repr, row)) + "\r\n")
+            for block in blocks:
+                for line in _csv_lines(block):
+                    f.write(line + "\r\n")
     elif fmt == "structured":
         doc = {
             "kind": kind,
             "stop_reason": traj.stop_reason,
             "columns": header,
-            "rows": list(rows),
+            "rows": [row for block in blocks for row in block.tolist()],
         }
         with open(path, "w") as f:
             yaml.dump(doc, f, Dumper=_DUMPER, sort_keys=False)

@@ -5,7 +5,9 @@ block draws are pinned against: a suite checks exactly the instances that
 these calls, made case by case in the suite's order, would draw.
 ``random_lp_cost`` draws LP costs for the acceptance runs, and
 ``vertical_component_check`` certifies the orthogonality of the lift's
-vertical/horizontal splitting.  No part of the package calls them.
+vertical/horizontal splitting.  ``trace_field_K`` and ``trace_matrix_norm``
+are the matrix kernel's flow field and trace norm as first written, with
+``ndarray.trace``.  No part of the package calls them.
 """
 
 import numpy as np
@@ -77,3 +79,14 @@ def vertical_component_check(phi, x, rng) -> float:
     phi = np.asarray(phi, dtype=np.complex128)
     horizontal = np.asarray(x, dtype=np.complex128) - vertical_project(phi, x)
     return ambient_metric(horizontal, random_vertical(phi, rng))
+
+
+def trace_field_K(rho, c) -> np.ndarray:
+    """``gradient._field_K`` written with ``ndarray.trace``."""
+    p = rho @ (c[:, None] * rho + rho * c)
+    return (0.5 * p.trace().real) * rho - 0.25 * (p + p.conj().T)
+
+
+def trace_matrix_norm(rho):
+    """``_kernels._matrix_norm`` written with ``ndarray.trace``."""
+    return rho.trace().real

@@ -159,7 +159,9 @@ def reference_write(path, traj, kind, fmt, extra=None):
 
 
 class TestWriteTrajectory:
-    """``write_trajectory`` streams rows; its bytes match the reference writer."""
+    """``write_trajectory`` builds rows one block of ``problem_io._EIG_BLOCK``
+    records at a time, so memory holds one block; its bytes match the
+    reference writer."""
 
     @staticmethod
     def _matrix_traj(**params):
@@ -208,6 +210,35 @@ class TestWriteTrajectory:
         data = got.read_bytes()
         assert data == want.read_bytes()
         for token in (b"-0.0", b"e-324", b"e+300"):
+            assert token in data
+
+    @staticmethod
+    def _diagonal_traj(records):
+        """A commuting run at m = 4: diagonal states whose off-diagonal real
+        and imaginary entries are exact zeros, about half of them made -0.0."""
+        traj = integrate_matrix(np.diag([0.1, 0.2, 0.3, 0.4]), [1.0, -2.0, 0.5, 3.0],
+                                IntegrationParams(t_max=0.01 * (records - 1), record_every=1))
+        assert len(traj.times) == records
+        rng = np.random.default_rng(records)
+        off = ~np.eye(4, dtype=bool)
+        for rho in traj.states:
+            assert not rho[off].any()
+            rho.real[off & (rng.random((4, 4)) < 0.5)] = -0.0
+            rho.imag[off & (rng.random((4, 4)) < 0.5)] = -0.0
+        return traj
+
+    @pytest.mark.parametrize("fmt, zeros", [
+        ("csv", (b",0.0,", b",-0.0,")), ("structured", (b"  - 0.0\n", b"  - -0.0\n"))])
+    # both sides of the first and the second block edge
+    @pytest.mark.parametrize("records", [63, 64, 65, 129])
+    def test_diagonal_states_match_reference(self, tmp_path, fmt, zeros, records):
+        traj = self._diagonal_traj(records)
+        got, want = tmp_path / "got", tmp_path / "want"
+        write_trajectory(got, traj, fmt=fmt)
+        reference_write(want, traj, "matrix", fmt)
+        data = got.read_bytes()
+        assert data == want.read_bytes()
+        for token in zeros:
             assert token in data
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -462,6 +493,25 @@ class TestExitCodes:
         prob.write_text(text)
         assert main(["solve-lp", str(prob), "-o", str(tmp_path / "t.csv"), *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("params, flags, message", [
+        ({"step": -1}, [], "{path}: field 'params.step' must be positive"),
+        ({"step": "fast"}, [],
+         "{path}: field 'params.step' is malformed: expected a finite float, got 'fast'"),
+        ({"t_max": 1e300, "step": 1e-300}, [],
+         "{path}: field 'params.t_max' / field 'params.step' must be finite"),
+        ({}, ["--step", "-1"], "--step must be positive"),
+        ({"step": -1}, ["--step", "0.1", "--grad-tol", "2"],
+         "{path}: field 'params.step' must be positive"),
+        ({}, ["--grad-tol", "2"], "--grad-tol must be < 1"),
+        ({"t_max": 1e300}, ["--step", "1e-300"], "t_max / --step must be finite"),
+    ], ids=["file-step-negative", "file-step-string", "file-t_max-over-step",
+            "flag-step-negative", "file-checked-before-flags", "flag-grad-tol",
+            "flag-step-over-file-t_max"])
+    def test_param_error_names_its_source(self, tmp_path, capsys, params, flags, message):
+        prob = write_problem(tmp_path / "p.yaml", {"m": 2, "c": [1.0, 2.0], "params": params})
+        assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv"), *flags]) == 1
+        assert capsys.readouterr().err == "error: " + message.format(path=prob) + "\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["solve-lp", "p.yaml", "-o", "t.csv", "--step", "abc"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qisflow import _kernels
 from qisflow._kernels import (
     STATUS_BOUNDARY,
     STATUS_LEFT_DOMAIN,
@@ -11,10 +12,12 @@ from qisflow._kernels import (
     matrix_rhs,
     simplex_rhs,
 )
-from qisflow.gradient import grad_K
+from qisflow.gradient import _field_K, grad_K
 from qisflow.qis_core import hermitian_part
 from qisflow.simplex import grad_kappa, karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
+
+from oracles import trace_field_K, trace_matrix_norm
 
 # One RK4 step of size 1e-2 at this cost scale overshoots out of the domain.
 OVERSHOOT_C = np.array([3000.0, -1000.0, -1500.0, 2000.0])
@@ -36,6 +39,21 @@ class TestRhs:
             rho = random_density(rng, m)
             c = random_cost(rng, m)
             assert np.array_equal(matrix_rhs(rho, c), -grad_K(rho, c))
+
+    def test_matrix_trace_matches_ndarray_trace(self):
+        """The field and the norm take tr as ``np.add.reduce`` of the diagonal:
+        the same bits as ``ndarray.trace``, on exactly Hermitian complex and
+        real states and on ``random_density``'s, Hermitian up to rounding as
+        the verify suites draw them."""
+        rng = np.random.default_rng(17)
+        for m in range(1, 33):
+            for _ in range(3):
+                drawn = random_density(rng, m)
+                c = random_cost(rng, m) * 10.0 ** rng.uniform(-2, 2)
+                exact = hermitian_part(drawn)
+                for rho in (drawn, exact, exact.real.copy(), np.diag(np.diag(exact).real)):
+                    assert np.array_equal(_field_K(rho, c), trace_field_K(rho, c))
+                    assert _kernels._matrix_norm(rho) == trace_matrix_norm(rho)
 
 
 def reference_advance_simplex(x, c, h, nsteps, floor):
