@@ -160,7 +160,7 @@ def reference_write(path, traj, kind, fmt, extra=None):
 
 class TestWriteTrajectory:
     """``write_trajectory`` builds rows one block of ``problem_io._EIG_BLOCK``
-    records at a time, so memory holds one block; its bytes match the
+    records at a time, so CSV memory holds one block; its bytes match the
     reference writer."""
 
     @staticmethod
