@@ -20,8 +20,10 @@ and ``solve-lp --simplex``, and those of its first flow problems with ``flow``;
 the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
 (``init`` left out, so the barycenter) and the same calls; the START_STOPS
 problems, which stop at t=0 (an init below ``boundary_floor``, a constant
-cost at the barycenter), each with ``solve-lp``, ``solve-lp --simplex`` and
-``flow``; the first SCALED_PROBLEMS LP problems of the first seed with
+cost at the barycenter), and the INTEGER_ENTRIES problems, whose numbers are
+YAML integers (a cost with the default init; a matrix init with integer zeros
+in ``real`` and ``imag``), each with ``solve-lp``, ``solve-lp --simplex`` and
+``flow``: no other input reads an integer entry of ``c`` or ``init``; the first SCALED_PROBLEMS LP problems of the first seed with
 ``c`` times each of COST_SCALES, each with ``solve-lp`` and ``solve-lp
 --simplex``: at these scales a step of 1e-2 mostly leaves the domain or goes
 non-finite, so these calls reach the kernel's failure branches; and
@@ -64,6 +66,11 @@ BARYCENTER_PROBLEMS = 10
 START_STOPS = {
     "floor": "m: 2\nc: [1.0, 2.0]\ninit:\n  diagonal: [0.99999999999, 1.0e-11]\n",
     "constant": "m: 3\nc: [2.0, 2.0, 2.0]\n",
+}
+INTEGER_ENTRIES = {
+    "int-cost": "m: 3\nc: [3, -1, 2]\n",
+    "int-matrix": "m: 2\nc: [1.0, -2.0]\ninit:\n  matrix:\n"
+                  "    real: [[0.6, 0], [0, 0.4]]\n    imag: [[0, 0.2], [-0.2, 0]]\n",
 }
 SCALED_PROBLEMS = 30
 COST_SCALES = (100, 1000)
@@ -134,8 +141,8 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     for i in range(BARYCENTER_PROBLEMS):
         texts[f"lp-barycenter-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), "")
         texts[f"flow-barycenter-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), "")
-    for stop, text in START_STOPS.items():
-        texts[f"lp-{stop}"] = texts[f"flow-{stop}"] = text
+    for stem, text in {**START_STOPS, **INTEGER_ENTRIES}.items():
+        texts[f"lp-{stem}"] = texts[f"flow-{stem}"] = text
     for stem, text in texts.items():
         path = workdir / f"{stem}.yaml"
         path.write_text(text)

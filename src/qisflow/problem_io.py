@@ -1,24 +1,27 @@
 """Problem-file parsing and trajectory emission.
 
 Problem files are YAML (key-value with nested arrays); complex matrices are
-given as separate real/imag blocks.  Trajectories are written as CSV or as a
-structured YAML equivalent; both re-parse bit-exactly (floats are emitted with
-shortest round-trip repr).  The writer builds the rows one block of records at
-a time as a float64 array, and CSV memory holds one block, not the whole table.
+given as separate real/imag blocks; ``load_problem`` checks every value, the
+initial state too, and names the field of a bad one.  Trajectories are written
+as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
+are emitted with shortest round-trip repr).  The writer builds the rows one
+block of records at a time as a float64 array, and CSV memory holds one block,
+not the whole table.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .errors import ContractError, ParamError
+from .errors import ContractError, ParamError, QisflowError
 from .gradient import cost_vector
 from .integrate import FlowTrajectory, IntegrationParams, _number
-from .qis_core import _check_finite, density_state
+from .qis_core import density_state
 from .randstate import random_density, random_simplex_point
 from .simplex import check_simplex_point
 
@@ -48,7 +51,8 @@ class Problem:
 
 
 def load_problem(path) -> Problem:
-    """Parse and validate a YAML problem file."""
+    """Parse a YAML problem file and check every value, the initial state
+    included; a bad value raises a ContractError naming the file and field."""
     with open(path) as f:
         try:
             doc = yaml.load(f, Loader=_LOADER)
@@ -61,8 +65,10 @@ def load_problem(path) -> Problem:
     if unknown:
         raise ContractError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        m = _convert(path, "m", _number, doc["m"], int)
-        c = cost_vector(_convert(path, "c", _floats, doc["c"]))
+        with _field(path, "m"):
+            m = _number(doc["m"], int)
+        with _field(path, "c"):
+            c = cost_vector(_floats(doc["c"]))
     except KeyError as exc:
         raise ContractError(f"{path}: missing required field {exc}") from exc
     if m < 1:
@@ -74,29 +80,30 @@ def load_problem(path) -> Problem:
     if isinstance(init, str):
         if init not in ("barycenter", "random"):
             raise ContractError(f"{path}: field 'init' must be one of {INIT_KINDS}")
-        kind, data = init, None
+        kind, data = init, (np.full(m, 1.0 / m) if init == "barycenter" else None)
     elif isinstance(init, dict) and set(init) == {"diagonal"}:
-        kind = "diagonal"
-        data = _convert(path, "init.diagonal", _floats, init["diagonal"])
+        with _field(path, "init.diagonal"):
+            data = _floats(init["diagonal"])
         if data.shape != (m,):
             raise ContractError(f"{path}: init.diagonal must have m={m} entries")
+        with _field(path, "init.diagonal"):
+            kind, data = "diagonal", check_simplex_point(data)
     elif isinstance(init, dict) and set(init) == {"matrix"}:
         block = init["matrix"]
         if not isinstance(block, dict) or "real" not in block or set(block) - {"real", "imag"}:
             raise ContractError(f"{path}: init.matrix needs 'real' and optional 'imag'")
-        real = _convert(path, "init.matrix.real", _floats, block["real"])
-        imag = _convert(path, "init.matrix.imag", _floats,
-                        block.get("imag", np.zeros((m, m))))
+        with _field(path, "init.matrix.real"):
+            real = _floats(block["real"])
+        with _field(path, "init.matrix.imag"):
+            imag = _floats(block.get("imag", np.zeros((m, m))))
         if real.shape != (m, m) or imag.shape != (m, m):
             raise ContractError(f"{path}: init.matrix blocks must be {m}x{m}")
-        # checked before combining: inf * 1j would warn on its way to nan
-        _check_finite(real, "density matrix")
-        _check_finite(imag, "density matrix")
-        kind, data = "matrix", real + 1j * imag
+        with _field(path, "init.matrix"):
+            kind, data = "matrix", density_state(real + 1j * imag, floor=0.0)
     else:
         raise ContractError(f"{path}: field 'init' has unsupported form")
 
-    raw_params = doc.get("params") or {}
+    raw_params = {} if doc.get("params") is None else doc["params"]
     if not isinstance(raw_params, dict):
         raise ContractError(f"{path}: field 'params' must be a mapping")
     allowed = {f.name for f in fields(IntegrationParams)}
@@ -113,53 +120,45 @@ def load_problem(path) -> Problem:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = _convert(path, "seed", _number, seed, int)
+        with _field(path, "seed"):
+            seed = _number(seed, int)
         if seed < 0:
             raise ContractError(f"{path}: field 'seed' must be >= 0")
     return Problem(m=m, c=c, init_kind=kind, init_data=data, params=params, seed=seed)
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array; as in ``params``, an entry that is a bool or
-    a string (YAML ``true``, ``"2.5"``) is malformed."""
-    floats = np.asarray(value, dtype=np.float64)
-    for entry in np.asarray(value, dtype=object).flat:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValueError(f"{entry!r} is not a number")
-    return floats
+    """``value`` as a float array of its shape, each entry read by ``_number``."""
+    entries = np.asarray(value, dtype=object)
+    floats = [_number(entry, float) for entry in entries.flat]
+    return np.array(floats, dtype=np.float64).reshape(entries.shape)
 
 
-def _convert(path, name: str, convert, value, *args):
-    """``convert(value, *args)``, with a malformed value reported as a ContractError."""
+@contextmanager
+def _field(path, name: str):
+    """A malformed or invalid value of field ``name`` as a ContractError naming it."""
     try:
-        return convert(value, *args)
-    except (TypeError, ValueError, OverflowError) as exc:
+        yield
+    except (TypeError, ValueError, QisflowError) as exc:
         raise ContractError(f"{path}: field {name!r} is malformed: {exc}") from exc
 
 
 def initial_density(problem: Problem, seed: int | None = None) -> np.ndarray:
-    """Build the initial density matrix declared by a problem."""
+    """The problem's initial density matrix: the one checked at load, or a random one."""
     if problem.init_kind == "matrix":
-        return density_state(problem.init_data, floor=0.0)
+        return problem.init_data
     if problem.init_kind == "random":
         return random_density(_rng(problem, seed), problem.m)
-    return np.diag(_simplex_init(problem)).astype(np.complex128)
+    return np.diag(problem.init_data).astype(np.complex128)
 
 
 def initial_simplex(problem: Problem, seed: int | None = None) -> np.ndarray:
-    """Build the initial simplex point; matrix inits are rejected."""
+    """The problem's initial simplex point: the one checked at load, or a random one."""
     if problem.init_kind == "matrix":
         raise ContractError("matrix init requires the matrix flow")
     if problem.init_kind == "random":
         return random_simplex_point(_rng(problem, seed), problem.m)
-    return _simplex_init(problem)
-
-
-def _simplex_init(problem: Problem) -> np.ndarray:
-    """The barycenter, or the checked point of a diagonal init."""
-    if problem.init_kind == "barycenter":
-        return np.full(problem.m, 1.0 / problem.m)
-    return check_simplex_point(problem.init_data)
+    return problem.init_data
 
 
 def _rng(problem: Problem, override: int | None):

@@ -83,6 +83,10 @@ class TestProblemIO:
         {"m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.5]}},
         {"m": 2, "c": [1.0, 2.0], "init": {"matrix": {"imag": [[0, 0], [0, 0]]}}},
         {"m": 2, "c": [1.0, 2.0], "init": {"diagonal": [0.5, "half"]}},
+        {"m": 2, "c": [1.0, 2.0], "params": []},    # falsy, but not absent
+        {"m": 2, "c": [1.0, 2.0], "params": 0},
+        {"m": 2, "c": [1.0, 2.0], "params": False},
+        {"m": 2, "c": [1.0, 2.0], "params": ""},
     ])
     def test_malformed_documents(self, tmp_path, doc):
         with pytest.raises(ContractError):
@@ -576,9 +580,67 @@ class TestExitCodes:
         for command in (["solve-lp"], ["flow"])
     ])
     def test_non_finite_init_is_validation_error(self, tmp_path, capsys, command, init, what):
+        """A non-finite entry of an init (``what`` is the state it was meant for) is
+        named by its file, its field and the first such entry."""
         prob = write_problem(tmp_path / "p.yaml", {"m": 2, "c": [1.0, -2.0], "init": init})
         assert main([command[0], prob, "-o", str(tmp_path / "t.csv"), *command[1:]]) == 1
-        assert capsys.readouterr().err == f"error: {what} has non-finite entries\n"
+        (name, entries), = init.items()
+        if name == "matrix":
+            block = "imag" if "imag" in entries else "real"
+            name, entries = f"matrix.{block}", entries[block]
+        bad = next(v for v in np.ravel(entries).tolist() if not np.isfinite(v))
+        assert capsys.readouterr().err == (
+            f"error: {prob}: field 'init.{name}' is malformed: "
+            f"expected a finite float, got {bad!r}\n")
+
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    @pytest.mark.parametrize("text, name, reason", [
+        ("c: [1.0, 0.0]", "c", "cost vector entries must be nonvanishing"),
+        ("c: [1.0, .inf]", "c", "expected a finite float, got inf"),
+        ("c: [true, 1.0]", "c", "expected a finite float, got True"),
+        ("c: [9007199254740993, 1.0]", "c",
+         "expected a finite float, got 9007199254740993"),
+        ("c: [[1.0, 2.0]]", "c", "cost vector must be 1-d, got shape (1, 2)"),
+        ("c: [1.0, 2.0]\ninit: {diagonal: [0.7, 0.5]}", "init.diagonal",
+         "simplex point entries must sum to 1"),
+        ("c: [1.0, 2.0]\ninit: {diagonal: [1.0, 0.0]}", "init.diagonal",
+         "simplex point entries must be strictly positive"),
+        ("c: [1.0, 2.0]\ninit: {diagonal: [0.5, .nan]}", "init.diagonal",
+         "expected a finite float, got nan"),
+        ("c: [1.0, 2.0]\ninit: {matrix: {real: [[0.6, 0], [0, 0.6]]}}", "init.matrix",
+         "density matrix trace differs from 1"),
+        ("c: [1.0, 2.0]\ninit: {matrix: {real: [[1.2, 0], [0, -0.2]]}}", "init.matrix",
+         "density matrix not regular: min eigenvalue -2.000e-01 <= floor 0.0e+00"),
+        ("c: [1.0, 2.0]\ninit: {matrix: {real: [[0.5, 0], [0, 0.5]], "
+         "imag: [[0, .inf], [0, 0]]}}", "init.matrix.imag", "expected a finite float, got inf"),
+    ], ids=["c-vanishing", "c-inf", "c-bool", "c-int-past-float", "c-2d",
+            "diagonal-sum", "diagonal-zero", "diagonal-nan",
+            "matrix-trace", "matrix-negative-eigenvalue", "matrix-imag-inf"])
+    def test_bad_value_is_named_by_file_and_field(self, tmp_path, capsys, recwarn,
+                                                  command, text, name, reason):
+        """Each check of a problem-file value runs at load, whatever the command,
+        and its failure names the file and the field, with no warning on the way."""
+        prob = tmp_path / "p.yaml"
+        prob.write_text(f"m: 2\n{text}\n")
+        assert main([command[0], str(prob), "-o", str(tmp_path / "t.csv"), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {prob}: field '{name}' is malformed: {reason}\n"
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    def test_integer_entries_read_as_floats(self, tmp_path, capsys, command):
+        """``c: [3, -1, 2]`` is the problem ``c: [3.0, -1.0, 2.0]``, byte for byte."""
+        runs = []
+        for stem, c in (("int", "[3, -1, 2]"), ("float", "[3.0, -1.0, 2.0]")):
+            prob = tmp_path / f"{stem}.yaml"
+            prob.write_text(f"m: 3\nc: {c}\n")
+            out = tmp_path / f"{stem}.csv"
+            assert main([command[0], str(prob), "-o", str(out), *command[1:]]) == 0
+            runs.append((load_problem(str(prob)).c, capsys.readouterr().out, out.read_bytes()))
+        (c_int, *ints), (c_float, *floats) = runs
+        assert np.array_equal(c_int, c_float)
+        assert ints == floats
 
     @pytest.mark.parametrize("command, doc", [
         pytest.param(["solve-lp"], {"m": 2, "c": [1e5, -1e5],
