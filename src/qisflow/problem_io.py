@@ -6,7 +6,8 @@ initial state too, and names the field of a bad one.  Trajectories are written
 as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
 are emitted with shortest round-trip repr).  The writer builds the rows one
 block of records at a time as a float64 array, and CSV memory holds one block,
-not the whole table.
+not the whole table; CSV formats each distinct magnitude of a matrix block
+once, since a Hermitian state repeats most of its entries up to sign.
 """
 
 from __future__ import annotations
@@ -201,24 +202,40 @@ def _table(traj: FlowTrajectory, extra=None):
     return kind, header, blocks()
 
 
-def _csv_lines(block):
-    """The CSV lines of a block of rows, one line's strings at a time.
+def _csv_lines(block, kind):
+    """The CSV lines of a block of rows, one line at a time.
 
-    Each entry is its shortest round-trip ``repr``.  A diagonal state's row is
-    mostly +0.0, so only the other entries are formatted: every +0.0 is the
-    one string "0.0", and -0.0, told apart from it by its sign bit, goes
-    through ``repr`` like any nonzero value.
+    Each entry is written as its shortest round-trip ``repr``.  A simplex row
+    is joined as it is.  A matrix row repeats magnitudes: a Hermitian state
+    mirrors each real off-diagonal entry, negates each imaginary one and has
+    a +0.0 imaginary diagonal.  So a column that is +0.0 in every row of the
+    block is the one string "0.0", each distinct magnitude of the other
+    entries is formatted once per block, and a negative entry is "-" and its
+    magnitude's string, which is its ``repr``; NaN is never negative here,
+    because its ``repr`` has no sign.  No symmetry is assumed: any block
+    gives the bytes of ``repr`` on every entry.
     """
-    width = block.shape[1]
-    formatted = (block != 0.0) | np.signbit(block)
-    for row, keep, count in zip(block, formatted, formatted.sum(axis=1).tolist()):
-        if count == width:  # no +0.0: a dense state's row, or a simplex row
-            line = map(repr, row.tolist())
-        else:
-            line = ["0.0"] * width
-            for j, v in zip(np.flatnonzero(keep).tolist(), row[keep].tolist()):
-                line[j] = repr(v)
-        yield ",".join(line)
+    if kind == "simplex":
+        for row in block.tolist():
+            yield ",".join(map(repr, row))
+        return
+    cols = np.flatnonzero(((block != 0.0) | np.signbit(block)).any(axis=0))
+    values = block[:, cols]
+    magnitudes, codes = np.unique(np.abs(values), return_inverse=True)
+    codes = codes.reshape(values.shape)
+    count = len(magnitudes)
+    # the strings of the magnitudes, of those that occur negated, and "0.0"
+    table = np.empty(2 * count + 1, dtype=object)
+    table[:count] = strings = list(map(repr, magnitudes.tolist()))
+    table[-1] = "0.0"
+    negative = np.signbit(values) & ~np.isnan(values)
+    negated = np.flatnonzero(np.bincount(codes[negative], minlength=count))
+    table[count + negated] = ["-" + strings[k] for k in negated.tolist()]
+    codes += count * negative
+    line = np.full(block.shape[1], 2 * count)
+    for row in codes:
+        line[cols] = row
+        yield ",".join(table[line].tolist())
 
 
 def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:
@@ -236,7 +253,7 @@ def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + "\r\n")
             for block in blocks:
-                for line in _csv_lines(block):
+                for line in _csv_lines(block, kind):
                     f.write(line + "\r\n")
     elif fmt == "structured":
         doc = {

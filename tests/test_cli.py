@@ -245,6 +245,94 @@ class TestWriteTrajectory:
         for token in zeros:
             assert token in data
 
+    @staticmethod
+    def _dense_traj(t_max):
+        """A non-commuting m = 8 complex run, every step recorded, and its
+        commutator_norm column as ``flow`` computes it."""
+        rng = np.random.default_rng(8)
+        traj = integrate_matrix(random_density(rng, 8), random_cost(rng, 8),
+                                IntegrationParams(t_max=t_max, record_every=1))
+        rho0 = traj.states[0]
+        comm = [float(np.linalg.norm(rho @ rho0 - rho0 @ rho)) for rho in traj.states]
+        assert min(comm[1:]) > 0.0
+        return traj, ("commutator_norm", comm)
+
+    @staticmethod
+    def _special_traj():
+        """A commuting m = 3 run, whose off-diagonal and imaginary entries are
+        all +0.0, then hand-built rows that are not Hermitian: v/-v pairs,
+        +0.0 and -0.0 in mirrored positions, a NaN with its sign bit set,
+        +-inf and subnormals, in the states and in the ``extra`` column.  The
+        lower triangles, which ``eigvalsh`` reads, are finite."""
+        traj = integrate_matrix(np.diag([0.2, 0.3, 0.5]), [1.0, -2.0, 0.5],
+                                IntegrationParams(t_max=0.2))
+        negative_nan = np.copysign(nan, -1.0)
+        real = np.array([[0.125, -0.0, negative_nan],
+                         [0.0, 0.25, inf],
+                         [0.125, -0.125, 5e-324]])
+        imag = np.array([[0.0, 0.3, -inf],
+                         [0.3, -0.0, -5e-324],
+                         [-0.0, 2.5e-310, 5e-324]])
+        for t, sign, pot in ((0.75, 1.0, negative_nan), (-inf, -1.0, -2.5e-310)):
+            state = np.empty((3, 3), dtype=np.complex128)
+            state.real, state.imag = real, sign * imag
+            traj._record(t, state, pot)
+        extra = [0.1 * k for k in range(len(traj.times))]
+        extra[-3:] = [-0.0, negative_nan, -inf]
+        return traj, ("commutator_norm", extra)
+
+    @staticmethod
+    def _block_edge_traj():
+        """A commuting m = 4 run over three blocks, with a pair of columns
+        that is +0.0 in the first block and nonzero in the next, and a pair
+        that is nonzero in the first block and +0.0 in the next."""
+        traj = integrate_matrix(np.diag([0.1, 0.2, 0.3, 0.4]), [1.0, -2.0, 0.5, 3.0],
+                                IntegrationParams(t_max=1.5, record_every=1))
+        assert 2 * problem_io._EIG_BLOCK < len(traj.times)
+        for k, rho in enumerate(traj.states):
+            i, j = (0, 1) if k >= problem_io._EIG_BLOCK else (2, 3)
+            rho[i, j], rho[j, i] = 1e-3 * (k + 1j), 1e-3 * (k - 1j)
+        return traj
+
+    @pytest.mark.parametrize("case", ["dense", "special", "block-edge"])
+    def test_csv_value_patterns_match_reference(self, tmp_path, case):
+        if case == "dense":
+            traj, extra = self._dense_traj(t_max=1.5)
+            assert len(traj.times) > 2 * problem_io._EIG_BLOCK
+        elif case == "special":
+            traj, extra = self._special_traj()
+        else:
+            traj, extra = self._block_edge_traj(), None
+        got, want = tmp_path / "got", tmp_path / "want"
+        write_trajectory(got, traj, extra=extra)
+        reference_write(want, traj, "matrix", "csv", extra=extra)
+        data = got.read_bytes()
+        assert data == want.read_bytes()
+        if case == "special":
+            for token in (b",nan,", b",-inf,", b",-0.0,", b",5e-324,", b",-2.5e-310"):
+                assert token in data
+            assert b"-nan" not in data
+
+    def test_dense_block_formats_each_magnitude_once(self, tmp_path, monkeypatch):
+        """A Hermitian m = 8 row has 75 distinct magnitudes among its 139
+        entries: t, 8 real diagonal entries, 28 real and 28 imaginary
+        upper-triangle entries, 8 eigenvalues, potential and commutator_norm;
+        its imaginary diagonal is +0.0."""
+        traj, extra = self._dense_traj(t_max=0.01 * (problem_io._EIG_BLOCK - 1))
+        assert len(traj.times) == problem_io._EIG_BLOCK
+        for rho in traj.states:
+            assert np.array_equal(rho, rho.conj().T)
+            assert not np.signbit(rho.imag.diagonal()).any()
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(problem_io, "repr", counting_repr, raising=False)
+        write_trajectory(tmp_path / "got", traj, extra=extra)
+        assert len(calls) <= 75 * len(traj.times)
+
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     @CASES
     def test_libyaml_and_python_dumpers_agree(self, tmp_path, monkeypatch, kind,
