@@ -37,6 +37,8 @@ import sys
 import time
 from pathlib import Path
 
+from record import revision
+
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_writer.json"
 FLOW_FILES = 8
@@ -94,15 +96,6 @@ with tempfile.TemporaryDirectory(prefix="qisflow-writer-") as tmp:
             }
 json.dump(result, sys.stdout)
 """
-
-
-def revision(checkout: Path) -> str:
-    """The checkout's commit, with ``+dirty`` when tracked files differ from it."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
-                              text=True, check=True).stdout.strip()
-    rev = git("rev-parse", "HEAD")
-    return rev + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
 def run_once(checkout: Path, seed: int) -> dict:
