@@ -43,12 +43,42 @@ def parse_seeds(tokens: list[str]) -> list[int]:
 
 
 def revision(checkout: Path) -> str:
-    """The checkout's commit, with ``+dirty`` when tracked files differ from it."""
+    """The checkout's commit, with ``+dirty`` when tracked files other than
+    the ``BENCH_*.json`` records differ from it."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
     rev = git("rev-parse", "HEAD")
-    return rev + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+    changed = git("status", "--porcelain", "--untracked-files=no", "--",
+                  ".", ":(exclude)BENCH_*.json")
+    return rev + ("+dirty" if changed else "")
+
+
+def in_turn(checkouts: list[Path], i: int) -> list[Path]:
+    """The checkouts in the order of round ``i``: reversed every other round,
+    so that drift in machine speed falls on both sides."""
+    return checkouts if i % 2 == 0 else checkouts[::-1]
+
+
+def spread(values: list[float]) -> dict:
+    """The median, the quartiles and every value of one metric's runs."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def entry(rev: str, label: str, command: str, several: bool, machine: dict, **fields) -> dict:
+    """One checkout's record entry, with the fields every entry has first."""
+    return {"revision": rev, "label": label,
+            "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "command": command, "run_order": "alternating" if several else "single",
+            "machine": machine, **fields}
+
+
+def append(record: Path, entries: list[dict]) -> None:
+    """Add ``entries`` to the JSON list in ``record``, which may not exist yet."""
+    old = json.loads(record.read_text()) if record.exists() else []
+    record.write_text(json.dumps(old + entries, indent=1) + "\n")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -66,10 +96,7 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
     metrics = {}
     for name, first in runs[0][1]["metrics"].items():
         values = [result["metrics"][name]["value"] for _, result in runs]
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
-        metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
-                         "runs": values}
+        metrics[name] = {"unit": first["unit"], **spread(values)}
     return {
         "attempted": sum(result["attempted"] for _, result in runs),
         "failed": sum(result["failed"] for _, result in runs),
@@ -92,27 +119,19 @@ def main(argv=None) -> int:
     runs = {(c, w): [] for c in checkouts for w in WORKLOADS}
     for i, seed in enumerate(seeds):
         for workload in WORKLOADS:
-            for checkout in (checkouts if i % 2 == 0 else checkouts[::-1]):
+            for checkout in in_turn(checkouts, i):
                 report, result = run_once(checkout, workload, seed)
                 runs[checkout, workload].append((report, result))
                 rate = result["metrics"]["runs_per_s"]["value"]
                 print(f"{checkout.name} {workload} seed {seed}: {rate:.3f} runs/s",
                       file=sys.stderr)
 
-    entries = json.loads(RECORD.read_text()) if RECORD.exists() else []
-    for checkout, rev in zip(checkouts, revisions):
-        entries.append({
-            "revision": rev,
-            "label": args.label,
-            "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {SECONDS} --trace 0",
-            "seeds": seeds,
-            "run_order": "alternating" if len(checkouts) > 1 else "single",
-            "machine": runs[checkout, WORKLOADS[0]][0][0]["machine"],
-            "workloads": {w: summarize(runs[checkout, w]) for w in WORKLOADS},
-        })
-    RECORD.write_text(json.dumps(entries, indent=1) + "\n")
+    command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
+    append(RECORD, [
+        entry(rev, args.label, command, len(checkouts) > 1,
+              runs[checkout, WORKLOADS[0]][0][0]["machine"], seeds=seeds,
+              workloads={w: summarize(runs[checkout, w]) for w in WORKLOADS})
+        for checkout, rev in zip(checkouts, revisions)])
     return 0
 
 

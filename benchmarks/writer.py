@@ -2,9 +2,9 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/writer.py --checkout ../parent --checkout . --rounds 15
+    python3 benchmarks/writer.py --checkout ../parent --checkout .
 
-The trajectories come from the perfbench inputs of one seed (``perfbench.inputs``
+The trajectories come from the perfbench inputs of seed SEED (``perfbench.inputs``
 of the checkout this script lives in), integrated by each checkout's own
 ``src/`` exactly as the CLI integrates them:
 
@@ -14,16 +14,17 @@ of the checkout this script lives in), integrated by each checkout's own
   matrix flow, as ``solve-lp`` runs them;
 - simplex: the same LP problems run by the simplex flow (``solve-lp --simplex``).
 
-Each round starts one process per checkout, and the order is reversed from
-one round to the next, so that drift in machine speed falls on both sides.
-A process integrates the trajectories once, then writes each row kind in each
-format (csv, structured) PASSES times into a temporary directory and reports,
-per case, the CPU time (``time.process_time``) of its fastest pass divided by
-the number of files, and the rows and bytes written.  One entry per checkout
-is appended to ``BENCH_writer.json`` beside this script's parent directory:
-its git revision, the machine facts that perfbench reports, and per case the
-median, the quartiles and every round's value in ms per file.  Rows and bytes
-must be equal across checkouts; the script exits 1 when they are not.
+Each of ROUNDS rounds starts one process per checkout, and the order is
+reversed from one round to the next, so that drift in machine speed falls on
+both sides.  A process integrates the trajectories once, then writes each row
+kind in each format (csv, structured) PASSES times into a temporary directory
+and reports, per case, the CPU time (``time.process_time``) of its fastest
+pass divided by the number of files, and the rows, bytes and SHA-256 of the
+files written.  One entry per checkout is appended to ``BENCH_writer.json``
+beside this script's parent directory: its git revision, the machine facts
+that perfbench reports, and per case the median, the quartiles and every
+round's value in ms per file.  The files must be the same in every process;
+the script exits 1 when they are not.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-from record import revision
+from record import append, entry, in_turn, revision, spread
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_writer.json"
+ROUNDS = 15
+SEED = 22
 FLOW_FILES = 8
 LP_FILES = 6
 PASSES = 3
@@ -49,7 +51,7 @@ FORMATS = ("csv", "structured")
 # Integrates the trajectories of the job read from stdin with the qisflow on
 # PYTHONPATH, times the writer on them and prints a JSON object back.
 WORKER = """
-import json, sys, tempfile, time
+import hashlib, json, sys, tempfile, time
 from pathlib import Path
 
 job = json.load(sys.stdin)
@@ -89,20 +91,24 @@ with tempfile.TemporaryDirectory(prefix="qisflow-writer-") as tmp:
                 for path, (traj, extra) in zip(paths, trajs):
                     write_trajectory(path, traj, fmt=fmt, extra=extra)
                 best = min(best, time.process_time() - t0)
+            digest = hashlib.sha256()
+            for path in paths:
+                digest.update(path.read_bytes())
             result["cases"][f"{kind}-{fmt}"] = {
                 "ms_per_file": 1e3 * best / len(trajs),
                 "rows": sum(len(traj.times) for traj, _ in trajs),
                 "bytes": sum(path.stat().st_size for path in paths),
+                "sha256": digest.hexdigest(),
             }
 json.dump(result, sys.stdout)
 """
 
 
-def run_once(checkout: Path, seed: int) -> dict:
+def run_once(checkout: Path) -> dict:
     """One worker process on ``checkout``'s ``src/``; returns its result."""
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
-    job = {"root": str(ROOT), "seed": seed, "flow_files": FLOW_FILES, "lp_files": LP_FILES,
+    job = {"root": str(ROOT), "seed": SEED, "flow_files": FLOW_FILES, "lp_files": LP_FILES,
            "passes": PASSES, "formats": FORMATS}
     proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(job), env=env,
                           capture_output=True, text=True, check=True)
@@ -113,54 +119,44 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", action="append", type=Path,
                     help="checkout to measure; repeat to alternate between several")
-    ap.add_argument("--rounds", type=int, default=15, help="processes per checkout")
-    ap.add_argument("--seed", type=int, default=22, help="perfbench seed of the inputs")
     ap.add_argument("--label", default="", help="free text stored with each entry")
     args = ap.parse_args(argv)
     checkouts = [c.resolve() for c in (args.checkout or [ROOT])]
     revisions = [revision(c) for c in checkouts]
 
     results = {c: [] for c in checkouts}
-    for i in range(args.rounds):
-        for checkout in (checkouts if i % 2 == 0 else checkouts[::-1]):
-            results[checkout].append(run_once(checkout, args.seed))
-        print(f"round {i + 1} of {args.rounds}", file=sys.stderr)
+    for i in range(ROUNDS):
+        for checkout in in_turn(checkouts, i):
+            results[checkout].append(run_once(checkout))
+        print(f"round {i + 1} of {ROUNDS}", file=sys.stderr)
 
     cases = list(results[checkouts[0]][0]["cases"])
     mismatch = False
     for case in cases:
-        sizes = {(r["cases"][case]["rows"], r["cases"][case]["bytes"])
+        files = {tuple(r["cases"][case][k] for k in ("rows", "bytes", "sha256"))
                  for c in checkouts for r in results[c]}
-        mismatch |= len(sizes) > 1
+        mismatch |= len(files) > 1
         times = [[r["cases"][case]["ms_per_file"] for r in results[c]] for c in checkouts]
         wins = sum(last < first for first, last in zip(times[0], times[-1]))
         print(f"{case}: " + " -> ".join(f"{statistics.median(t):.2f}" for t in times)
-              + f" ms per file, last faster in {wins} of {args.rounds} rounds"
-              + ("" if len(sizes) == 1 else f"; ROWS OR BYTES DIFFER: {sorted(sizes)}"))
+              + f" ms per file, last faster in {wins} of {ROUNDS} rounds"
+              + ("" if len(files) == 1 else f"; FILES DIFFER: {sorted(files)}"))
 
-    entries = json.loads(RECORD.read_text()) if RECORD.exists() else []
+    command = (f"write_trajectory in-process, CPU time of the fastest of {PASSES} passes "
+               f"per process, {FLOW_FILES} flow and {LP_FILES} LP problems")
+    entries = []
     for checkout, rev in zip(checkouts, revisions):
         runs = results[checkout]
         summary = {}
         for case in cases:
-            values = [r["cases"][case]["ms_per_file"] for r in runs]
-            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                              if len(values) > 1 else values * 3)
-            summary[case] = {"unit": "ms per file", "median": median, "q1": q1, "q3": q3,
-                               "runs": values, "rows": runs[0]["cases"][case]["rows"],
-                               "bytes": runs[0]["cases"][case]["bytes"]}
-        entries.append({
-            "revision": rev,
-            "label": args.label,
-            "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "command": f"write_trajectory in-process, CPU time of the fastest of {PASSES} "
-                       f"passes per process, {FLOW_FILES} flow and {LP_FILES} LP problems",
-            "seed": args.seed,
-            "run_order": "alternating" if len(checkouts) > 1 else "single",
-            "machine": runs[0]["machine"],
-            "cases": summary,
-        })
-    RECORD.write_text(json.dumps(entries, indent=1) + "\n")
+            first = runs[0]["cases"][case]
+            summary[case] = {"unit": "ms per file",
+                             **spread([r["cases"][case]["ms_per_file"] for r in runs]),
+                             "rows": first["rows"], "bytes": first["bytes"],
+                             "sha256": first["sha256"]}
+        entries.append(entry(rev, args.label, command, len(checkouts) > 1,
+                             runs[0]["machine"], seed=SEED, cases=summary))
+    append(RECORD, entries)
     return 1 if mismatch else 0
 
 

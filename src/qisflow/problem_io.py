@@ -6,8 +6,8 @@ initial state too, and names the field of a bad one.  Trajectories are written
 as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
 are emitted with shortest round-trip repr).  The writer builds the rows one
 block of records at a time as a float64 array, and CSV memory holds one block,
-not the whole table; CSV formats each distinct magnitude of a few matrix rows
-once, since a Hermitian state repeats most of its entries up to sign.
+not the whole table; CSV formats each distinct magnitude of a block of matrix
+rows once, since a Hermitian state repeats most of its entries up to sign.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Records per block of the trajectory writer: one eigvalsh call per block of
-# matrix states, not per row, and one float64 array of the block's rows, which
-# stays small beside the trajectory itself; memory holds one block at a time
-_EIG_BLOCK = 64
-# Matrix rows per formatting pass of the CSV writer.  A pass holds the string
-# of each distinct magnitude of its rows until its lines are written, so this
-# bounds the writer's memory: a whole block's strings raised flow's peak RSS
-# by about 1 MiB, and 16 rows are as fast per row as 64
-_FORMAT_ROWS = 16
+# matrix states, not per row, one float64 array of the block's rows and, in
+# CSV, the string of each distinct magnitude of those rows; memory holds one
+# block at a time.  Blocks of 64 wrote no faster per row, and their strings
+# raised flow's peak RSS by about 1 MiB
+_EIG_BLOCK = 16
 
 
 @dataclass
@@ -213,37 +210,34 @@ def _csv_lines(block, kind):
     Each entry is written as its shortest round-trip ``repr``.  A simplex row
     is joined as it is.  A matrix row repeats magnitudes: a Hermitian state
     mirrors each real off-diagonal entry, negates each imaginary one and has
-    a +0.0 imaginary diagonal.  So matrix rows are written ``_FORMAT_ROWS``
-    at a time: a column that is +0.0 in every one of those rows is the one
-    string "0.0", each distinct magnitude of the other entries is formatted
-    once, and a negative entry is "-" and its magnitude's string, which is
-    its ``repr``; NaN is never negative here, because its ``repr`` has no
-    sign.  No symmetry is assumed: any rows give the bytes of ``repr`` on
-    every entry.
+    a +0.0 imaginary diagonal.  So in a block of matrix rows, a column that
+    is +0.0 in every row is the one string "0.0", each distinct magnitude of
+    the other entries is formatted once, and a negative entry is "-" and its
+    magnitude's string, which is its ``repr``; NaN is never negative here,
+    because its ``repr`` has no sign.  No symmetry is assumed: any rows give
+    the bytes of ``repr`` on every entry.
     """
     if kind == "simplex":
         for row in block.tolist():
             yield ",".join(map(repr, row))
         return
-    for start in range(0, len(block), _FORMAT_ROWS):
-        rows = block[start:start + _FORMAT_ROWS]
-        cols = np.flatnonzero(((rows != 0.0) | np.signbit(rows)).any(axis=0))
-        values = rows[:, cols]
-        magnitudes, codes = np.unique(np.abs(values), return_inverse=True)
-        codes = codes.reshape(values.shape)
-        count = len(magnitudes)
-        # the strings of the magnitudes, of those that occur negated, and "0.0"
-        table = np.empty(2 * count + 1, dtype=object)
-        table[:count] = strings = list(map(repr, magnitudes.tolist()))
-        table[-1] = "0.0"
-        negative = np.signbit(values) & ~np.isnan(values)
-        negated = np.flatnonzero(np.bincount(codes[negative], minlength=count))
-        table[count + negated] = ["-" + strings[k] for k in negated.tolist()]
-        codes += count * negative
-        line = np.full(rows.shape[1], 2 * count)
-        for row in codes:
-            line[cols] = row
-            yield ",".join(table[line].tolist())
+    cols = np.flatnonzero(((block != 0.0) | np.signbit(block)).any(axis=0))
+    values = block[:, cols]
+    magnitudes, codes = np.unique(np.abs(values), return_inverse=True)
+    codes = codes.reshape(values.shape)
+    count = len(magnitudes)
+    # the strings of the magnitudes, of those that occur negated, and "0.0"
+    table = np.empty(2 * count + 1, dtype=object)
+    table[:count] = strings = list(map(repr, magnitudes.tolist()))
+    table[-1] = "0.0"
+    negative = np.signbit(values) & ~np.isnan(values)
+    negated = np.flatnonzero(np.bincount(codes[negative], minlength=count))
+    table[count + negated] = ["-" + strings[k] for k in negated.tolist()]
+    codes += count * negative
+    line = np.full(block.shape[1], 2 * count)
+    for row in codes:
+        line[cols] = row
+        yield ",".join(table[line].tolist())
 
 
 def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:

@@ -186,7 +186,7 @@ class TestWriteTrajectory:
         pytest.param("matrix", False, {}, id="matrix-False"),
         pytest.param("matrix", True, {}, id="matrix-True"),
         pytest.param("simplex", False, {}, id="simplex-False"),
-        # 153 records: two whole eigvalsh blocks of the matrix writer and a part
+        # 153 records: whole eigvalsh blocks of the matrix writer and a part
         pytest.param("matrix", True, {"t_max": 1.5, "record_every": 1},
                      id="matrix-True-153-records"),
     ])
@@ -233,7 +233,7 @@ class TestWriteTrajectory:
 
     @pytest.mark.parametrize("fmt, zeros", [
         ("csv", (b",0.0,", b",-0.0,")), ("structured", (b"  - 0.0\n", b"  - -0.0\n"))])
-    # both sides of the first and the second block edge
+    # both sides of a block edge at record 64, and one past another at 128
     @pytest.mark.parametrize("records", [63, 64, 65, 129])
     def test_diagonal_states_match_reference(self, tmp_path, fmt, zeros, records):
         traj = self._diagonal_traj(records)
@@ -282,27 +282,30 @@ class TestWriteTrajectory:
         return traj, ("commutator_norm", extra)
 
     @staticmethod
-    def _block_edge_traj():
-        """A commuting m = 4 run over three blocks, with a pair of columns
-        that is +0.0 in the first block and nonzero in the next, and a pair
-        that is nonzero in the first block and +0.0 in the next."""
+    def _switch_traj(flip):
+        """A commuting m = 4 run over more than two blocks, with a pair of
+        columns that is +0.0 before record ``flip`` and nonzero from it on,
+        and a pair that is nonzero before it and +0.0 from it on."""
         traj = integrate_matrix(np.diag([0.1, 0.2, 0.3, 0.4]), [1.0, -2.0, 0.5, 3.0],
                                 IntegrationParams(t_max=1.5, record_every=1))
         assert 2 * problem_io._EIG_BLOCK < len(traj.times)
         for k, rho in enumerate(traj.states):
-            i, j = (0, 1) if k >= problem_io._EIG_BLOCK else (2, 3)
+            i, j = (0, 1) if k >= flip else (2, 3)
             rho[i, j], rho[j, i] = 1e-3 * (k + 1j), 1e-3 * (k - 1j)
         return traj
 
-    @pytest.mark.parametrize("case", ["dense", "special", "block-edge"])
+    @pytest.mark.parametrize("case", ["dense", "special", "block-edge", "mid-block"])
     def test_csv_value_patterns_match_reference(self, tmp_path, case):
+        block = problem_io._EIG_BLOCK
         if case == "dense":
             traj, extra = self._dense_traj(t_max=1.5)
-            assert len(traj.times) > 2 * problem_io._EIG_BLOCK
+            assert len(traj.times) > 2 * block
         elif case == "special":
             traj, extra = self._special_traj()
+        elif case == "block-edge":
+            traj, extra = self._switch_traj(flip=block), None
         else:
-            traj, extra = self._block_edge_traj(), None
+            traj, extra = self._switch_traj(flip=block + block // 2), None
         got, want = tmp_path / "got", tmp_path / "want"
         write_trajectory(got, traj, extra=extra)
         reference_write(want, traj, "matrix", "csv", extra=extra)
@@ -313,13 +316,13 @@ class TestWriteTrajectory:
                 assert token in data
             assert b"-nan" not in data
 
-    def test_dense_block_formats_each_magnitude_once(self, tmp_path, monkeypatch):
+    def test_dense_rows_format_each_magnitude_once(self, tmp_path, monkeypatch):
         """A Hermitian m = 8 row has 75 distinct magnitudes among its 139
         entries: t, 8 real diagonal entries, 28 real and 28 imaginary
         upper-triangle entries, 8 eigenvalues, potential and commutator_norm;
         its imaginary diagonal is +0.0."""
-        traj, extra = self._dense_traj(t_max=0.01 * (problem_io._EIG_BLOCK - 1))
-        assert len(traj.times) == problem_io._EIG_BLOCK
+        traj, extra = self._dense_traj(t_max=0.63)
+        assert len(traj.times) == 64
         for rho in traj.states:
             assert np.array_equal(rho, rho.conj().T)
             assert not np.signbit(rho.imag.diagonal()).any()
