@@ -14,7 +14,14 @@ that drift in machine speed falls on both sides.  One entry per checkout is
 appended to ``BENCH_perfbench.json`` beside this script's parent directory:
 its git revision, the machine facts that perfbench reports, and per workload
 the calls attempted and failed and, for each end-to-end metric, the median,
-the quartiles and the value of every run in seed order.
+the quartiles and the value of every run in seed order.  With several
+checkouts, the entry of each checkout after the first also holds, per
+workload and metric, ``ratio_to_first``: the ratio of its run to the first
+checkout's run on each seed, the median and quartiles of those ratios, and
+on how many seeds it was the better of the two (by the metric's "better" in
+``BENCHMARK.json``).  A pair of runs on one seed shares the machine's state,
+so the ratios show a change that drift between seeds hides in the medians;
+they are printed too.
 """
 
 from __future__ import annotations
@@ -105,6 +112,15 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def ratio_to_first(first: dict, later: dict, better: str) -> dict:
+    """Per seed, the ratio of ``later``'s run to ``first``'s, the median and
+    quartiles of those ratios, and the number of seeds on which ``later`` was
+    better; ``better`` is "higher" or "lower"."""
+    ratios = [b / a for a, b in zip(first["runs"], later["runs"])]
+    wins = sum(r > 1.0 if better == "higher" else r < 1.0 for r in ratios)
+    return {**spread(ratios), "better_on": wins}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
@@ -126,11 +142,24 @@ def main(argv=None) -> int:
                 print(f"{checkout.name} {workload} seed {seed}: {rate:.3f} runs/s",
                       file=sys.stderr)
 
+    summaries = {c: {w: summarize(runs[c, w]) for w in WORKLOADS} for c in checkouts}
+    better = {metric["name"]: metric["better"] for metric in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    first = summaries[checkouts[0]]
+    for checkout in checkouts[1:]:
+        for workload, summary in summaries[checkout].items():
+            for name, metric in summary["metrics"].items():
+                pairs = metric["ratio_to_first"] = ratio_to_first(
+                    first[workload]["metrics"][name], metric, better[name])
+                print(f"{checkout.name} {workload} {name}: ratio to {checkouts[0].name} "
+                      f"{pairs['median']:.3f} (quartiles {pairs['q1']:.3f}-{pairs['q3']:.3f}), "
+                      f"better on {pairs['better_on']} of {len(seeds)} seeds")
+
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
     append(RECORD, [
         entry(rev, args.label, command, len(checkouts) > 1,
               runs[checkout, WORKLOADS[0]][0][0]["machine"], seeds=seeds,
-              workloads={w: summarize(runs[checkout, w]) for w in WORKLOADS})
+              workloads=summaries[checkout])
         for checkout, rev in zip(checkouts, revisions)])
     return 0
 

@@ -19,11 +19,12 @@ reversed from one round to the next, so that drift in machine speed falls on
 both sides.  A process integrates the trajectories once, then writes each row
 kind in each format (csv, structured) PASSES times into a temporary directory
 and reports, per case, the CPU time (``time.process_time``) of its fastest
-pass divided by the number of files, and the rows, bytes and SHA-256 of the
+pass divided by the number of files, the largest ``tracemalloc`` peak of
+writing one file once more, untimed, and the rows, bytes and SHA-256 of the
 files written.  One entry per checkout is appended to ``BENCH_writer.json``
 beside this script's parent directory: its git revision, the machine facts
 that perfbench reports, and per case the median, the quartiles and every
-round's value in ms per file.  The files must be the same in every process;
+round's value in ms per file, and the same of the peak in MiB per file.  The files must be the same in every process;
 the script exits 1 when they are not.
 """
 
@@ -51,7 +52,7 @@ FORMATS = ("csv", "structured")
 # Integrates the trajectories of the job read from stdin with the qisflow on
 # PYTHONPATH, times the writer on them and prints a JSON object back.
 WORKER = """
-import hashlib, json, sys, tempfile, time
+import hashlib, json, sys, tempfile, time, tracemalloc
 from pathlib import Path
 
 job = json.load(sys.stdin)
@@ -91,11 +92,20 @@ with tempfile.TemporaryDirectory(prefix="qisflow-writer-") as tmp:
                 for path, (traj, extra) in zip(paths, trajs):
                     write_trajectory(path, traj, fmt=fmt, extra=extra)
                 best = min(best, time.process_time() - t0)
+            peak = 0
+            tracemalloc.start()
+            for path, (traj, extra) in zip(paths, trajs):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                write_trajectory(path, traj, fmt=fmt, extra=extra)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.stop()
             digest = hashlib.sha256()
             for path in paths:
                 digest.update(path.read_bytes())
             result["cases"][f"{kind}-{fmt}"] = {
                 "ms_per_file": 1e3 * best / len(trajs),
+                "peak_mib": peak / 2**20,
                 "rows": sum(len(traj.times) for traj, _ in trajs),
                 "bytes": sum(path.stat().st_size for path in paths),
                 "sha256": digest.hexdigest(),
@@ -137,9 +147,11 @@ def main(argv=None) -> int:
                  for c in checkouts for r in results[c]}
         mismatch |= len(files) > 1
         times = [[r["cases"][case]["ms_per_file"] for r in results[c]] for c in checkouts]
+        peaks = [[r["cases"][case]["peak_mib"] for r in results[c]] for c in checkouts]
         wins = sum(last < first for first, last in zip(times[0], times[-1]))
         print(f"{case}: " + " -> ".join(f"{statistics.median(t):.2f}" for t in times)
-              + f" ms per file, last faster in {wins} of {ROUNDS} rounds"
+              + f" ms per file, last faster in {wins} of {ROUNDS} rounds; peak "
+              + " -> ".join(f"{statistics.median(p):.2f}" for p in peaks) + " MiB per file"
               + ("" if len(files) == 1 else f"; FILES DIFFER: {sorted(files)}"))
 
     command = (f"write_trajectory in-process, CPU time of the fastest of {PASSES} passes "
@@ -152,6 +164,7 @@ def main(argv=None) -> int:
             first = runs[0]["cases"][case]
             summary[case] = {"unit": "ms per file",
                              **spread([r["cases"][case]["ms_per_file"] for r in runs]),
+                             "peak_mib": spread([r["cases"][case]["peak_mib"] for r in runs]),
                              "rows": first["rows"], "bytes": first["bytes"],
                              "sha256": first["sha256"]}
         entries.append(entry(rev, args.label, command, len(checkouts) > 1,

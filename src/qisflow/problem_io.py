@@ -5,9 +5,10 @@ given as separate real/imag blocks; ``load_problem`` checks every value, the
 initial state too, and names the field of a bad one.  Trajectories are written
 as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
 are emitted with shortest round-trip repr).  The writer builds the rows one
-block of records at a time as a float64 array, and CSV memory holds one block,
-not the whole table; CSV formats each distinct magnitude of a block of matrix
-rows once, since a Hermitian state repeats most of its entries up to sign.
+block of records at a time as a float64 array and writes the block before it
+builds the next, in either format, so memory holds one block, not the whole
+table; CSV formats each distinct magnitude of a block of matrix rows once,
+since a Hermitian state repeats most of its entries up to sign.
 """
 
 from __future__ import annotations
@@ -172,38 +173,6 @@ def _rng(problem: Problem, override: int | None):
     return np.random.default_rng(seed)
 
 
-def _table(traj: FlowTrajectory, extra=None):
-    """The kind, the column names and the rows of a trajectory, the rows as
-    float64 arrays of at most ``_EIG_BLOCK`` records each."""
-    m = traj.states[0].shape[0]
-    if traj.states[0].ndim == 2:
-        kind, header = "matrix", ["t"]
-        header += [f"re_{i}_{j}" for i in range(m) for j in range(m)]
-        header += [f"im_{i}_{j}" for i in range(m) for j in range(m)]
-        header += [f"eig_{k}" for k in range(1, m + 1)]
-    else:
-        kind, header = "simplex", ["t"] + [f"x_{j}" for j in range(1, m + 1)]
-    header += ["potential"]
-    if extra is not None:
-        header += [extra[0]]
-
-    def blocks():
-        for start in range(0, len(traj.states), _EIG_BLOCK):
-            rows = slice(start, start + _EIG_BLOCK)
-            stack = np.stack(traj.states[rows])
-            if kind == "matrix":
-                flat = stack.reshape(len(stack), -1)
-                states = [flat.real, flat.imag, np.linalg.eigvalsh(stack)]
-            else:
-                states = [stack]
-            columns = [traj.times[rows], *states, traj.potential_values[rows]]
-            if extra is not None:
-                columns.append(extra[1][rows])
-            yield np.column_stack(columns)
-
-    return kind, header, blocks()
-
-
 def _csv_lines(block, kind):
     """The CSV lines of a block of rows, one line at a time.
 
@@ -241,33 +210,53 @@ def _csv_lines(block, kind):
 
 
 def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:
-    """Write a trajectory as CSV or structured YAML.
+    """Write a trajectory as CSV or structured YAML, one block of rows at a time.
 
     States that are matrices give 'matrix' rows, vectors 'simplex' rows;
     ``extra`` is an optional (column_name, values) pair appended as the last
-    column.  Rows are built ``_EIG_BLOCK`` records at a time, and CSV is
-    written block by block, so memory holds one block of rows, not the whole
-    table; its lines are in the csv module's default dialect, and no field
-    needs quoting.  Structured output dumps the whole table at once.
+    column.  Each block of ``_EIG_BLOCK`` records is built as a float64 array
+    and written before the next, so memory holds one block, not the whole
+    table.  CSV lines are in the csv module's default dialect, and no field
+    needs quoting.  Structured output dumps the header mapping, then writes
+    ``rows:`` and dumps each block's rows: the bytes of the whole document.
     """
-    kind, header, blocks = _table(traj, extra)
-    if fmt == "csv":
-        with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\r\n")
-            for block in blocks:
-                for line in _csv_lines(block, kind):
-                    f.write(line + "\r\n")
-    elif fmt == "structured":
-        doc = {
-            "kind": kind,
-            "stop_reason": traj.stop_reason,
-            "columns": header,
-            "rows": [row for block in blocks for row in block.tolist()],
-        }
-        with open(path, "w") as f:
-            yaml.dump(doc, f, Dumper=_DUMPER, sort_keys=False)
-    else:
+    if fmt not in ("csv", "structured"):
         raise ContractError(f"unknown format {fmt!r}; choose csv or structured")
+    m = traj.states[0].shape[0]
+    if traj.states[0].ndim == 2:
+        kind, header = "matrix", ["t"]
+        header += [f"re_{i}_{j}" for i in range(m) for j in range(m)]
+        header += [f"im_{i}_{j}" for i in range(m) for j in range(m)]
+        header += [f"eig_{k}" for k in range(1, m + 1)]
+    else:
+        kind, header = "simplex", ["t"] + [f"x_{j}" for j in range(1, m + 1)]
+    header += ["potential"]
+    if extra is not None:
+        header += [extra[0]]
+
+    with open(path, "w", newline="") as f:
+        if fmt == "csv":
+            f.write(",".join(header) + "\r\n")
+        else:
+            doc = {"kind": kind, "stop_reason": traj.stop_reason, "columns": header}
+            yaml.dump(doc, f, Dumper=_DUMPER, sort_keys=False)
+            f.write("rows:\n")
+        for start in range(0, len(traj.states), _EIG_BLOCK):
+            rows = slice(start, start + _EIG_BLOCK)
+            stack = np.stack(traj.states[rows])
+            if kind == "matrix":
+                flat = stack.reshape(len(stack), -1)
+                states = [flat.real, flat.imag, np.linalg.eigvalsh(stack)]
+            else:
+                states = [stack]
+            columns = [traj.times[rows], *states, traj.potential_values[rows]]
+            if extra is not None:
+                columns.append(extra[1][rows])
+            block = np.column_stack(columns)
+            if fmt == "csv":
+                f.writelines(line + "\r\n" for line in _csv_lines(block, kind))
+            else:
+                yaml.dump(block.tolist(), f, Dumper=_DUMPER)
 
 
 def read_trajectory(path, fmt: str = "csv") -> dict:

@@ -163,9 +163,9 @@ def reference_write(path, traj, kind, fmt, extra=None):
 
 
 class TestWriteTrajectory:
-    """``write_trajectory`` builds rows one block of ``problem_io._EIG_BLOCK``
-    records at a time, so CSV memory holds one block; its bytes match the
-    reference writer."""
+    """``write_trajectory`` builds and writes rows one block of
+    ``problem_io._EIG_BLOCK`` records at a time, so memory holds one block in
+    either format; its bytes match the reference writer."""
 
     @staticmethod
     def _matrix_traj(**params):
@@ -215,6 +215,22 @@ class TestWriteTrajectory:
         assert data == want.read_bytes()
         for token in (b"-0.0", b"e-324", b"e+300"):
             assert token in data
+
+    def test_structured_output_is_dumped_one_block_at_a_time(self, tmp_path, monkeypatch):
+        traj, extra = self._case("matrix", True, {"t_max": 1.5, "record_every": 1})
+        got, want = tmp_path / "got", tmp_path / "want"
+        reference_write(want, traj, "matrix", "structured", extra=extra)
+        dump, rows_per_dump = yaml.dump, []
+
+        def counting_dump(data, *args, **kwargs):
+            rows_per_dump.append(len(data.get("rows", ()) if isinstance(data, dict) else data))
+            return dump(data, *args, **kwargs)
+
+        monkeypatch.setattr(yaml, "dump", counting_dump)
+        write_trajectory(got, traj, fmt="structured", extra=extra)
+        assert sum(rows_per_dump) == len(traj.times)
+        assert max(rows_per_dump) <= problem_io._EIG_BLOCK
+        assert got.read_bytes() == want.read_bytes()
 
     @staticmethod
     def _diagonal_traj(records):
@@ -294,18 +310,23 @@ class TestWriteTrajectory:
             rho[i, j], rho[j, i] = 1e-3 * (k + 1j), 1e-3 * (k - 1j)
         return traj
 
-    @pytest.mark.parametrize("case", ["dense", "special", "block-edge", "mid-block"])
-    def test_csv_value_patterns_match_reference(self, tmp_path, case):
+    PATTERNS = pytest.mark.parametrize("case", ["dense", "special", "block-edge", "mid-block"])
+
+    @classmethod
+    def _pattern(cls, case):
+        """The trajectory and the ``extra`` column of one value-pattern case."""
         block = problem_io._EIG_BLOCK
         if case == "dense":
-            traj, extra = self._dense_traj(t_max=1.5)
+            traj, extra = cls._dense_traj(t_max=1.5)
             assert len(traj.times) > 2 * block
-        elif case == "special":
-            traj, extra = self._special_traj()
-        elif case == "block-edge":
-            traj, extra = self._switch_traj(flip=block), None
-        else:
-            traj, extra = self._switch_traj(flip=block + block // 2), None
+            return traj, extra
+        if case == "special":
+            return cls._special_traj()
+        return cls._switch_traj(flip=block if case == "block-edge" else block + block // 2), None
+
+    @PATTERNS
+    def test_csv_value_patterns_match_reference(self, tmp_path, case):
+        traj, extra = self._pattern(case)
         got, want = tmp_path / "got", tmp_path / "want"
         write_trajectory(got, traj, extra=extra)
         reference_write(want, traj, "matrix", "csv", extra=extra)
@@ -315,6 +336,20 @@ class TestWriteTrajectory:
             for token in (b",nan,", b",-inf,", b",-0.0,", b",5e-324,", b",-2.5e-310"):
                 assert token in data
             assert b"-nan" not in data
+
+    @PATTERNS
+    def test_structured_value_patterns_match_reference(self, tmp_path, case):
+        traj, extra = self._pattern(case)
+        got, want = tmp_path / "got", tmp_path / "want"
+        write_trajectory(got, traj, fmt="structured", extra=extra)
+        reference_write(want, traj, "matrix", "structured", extra=extra)
+        data = got.read_bytes()
+        assert data == want.read_bytes()
+        if case == "special":
+            for token in (b"- .nan\n", b"- -.inf\n", b"- -0.0\n", b"- 5.0e-324\n",
+                          b"- -2.5e-310\n"):
+                assert token in data
+            assert b"-.nan" not in data
 
     def test_dense_rows_format_each_magnitude_once(self, tmp_path, monkeypatch):
         """A Hermitian m = 8 row has 75 distinct magnitudes among its 139
