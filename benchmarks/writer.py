@@ -24,8 +24,8 @@ writing one file once more, untimed, and the rows, bytes and SHA-256 of the
 files written.  One entry per checkout is appended to ``BENCH_writer.json``
 beside this script's parent directory: its git revision, the machine facts
 that perfbench reports, and per case the median, the quartiles and every
-round's value in ms per file, and the same of the peak in MiB per file.  The files must be the same in every process;
-the script exits 1 when they are not.
+round's value in ms per file, and the same of the peak in MiB per file.  The
+files must be the same in every process; the script exits 1 when they are not.
 """
 
 from __future__ import annotations
