@@ -38,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_perfbench.json"
 WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
 SECONDS = 25
+# the tracked paths whose edits change what the benchmarks measure
+MEASURED = ("src", "benchmarks", "perfbench", "pyproject.toml", "BENCHMARK.json")
 
 
 def parse_seeds(tokens: list[str]) -> list[int]:
@@ -50,14 +52,13 @@ def parse_seeds(tokens: list[str]) -> list[int]:
 
 
 def revision(checkout: Path) -> str:
-    """The checkout's commit, with ``+dirty`` when tracked files other than
-    the ``BENCH_*.json`` records differ from it."""
+    """The checkout's commit, with ``+dirty`` when a tracked file under
+    ``MEASURED`` differs from it; edits to notes and records are not measured."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
     rev = git("rev-parse", "HEAD")
-    changed = git("status", "--porcelain", "--untracked-files=no", "--",
-                  ".", ":(exclude)BENCH_*.json")
+    changed = git("status", "--porcelain", "--untracked-files=no", "--", *MEASURED)
     return rev + ("+dirty" if changed else "")
 
 

@@ -6,9 +6,10 @@ initial state too, and names the field of a bad one.  Trajectories are written
 as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
 are emitted with shortest round-trip repr).  The writer builds the rows one
 block of records at a time as a float64 array and writes the block before it
-builds the next, in either format, so memory holds one block, not the whole
-table; CSV formats each distinct magnitude of a block of matrix rows once,
-since a Hermitian state repeats most of its entries up to sign.
+builds the next, so memory holds one block, not the whole table.  One row
+formatter serves both formats: it formats each distinct magnitude of a block
+of matrix rows once, since a Hermitian state repeats most of its entries up
+to sign, and PyYAML writes only the structured header.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Records per block of the trajectory writer: one eigvalsh call per block of
-# matrix states, not per row, one float64 array of the block's rows and, in
-# CSV, the string of each distinct magnitude of those rows; memory holds one
-# block at a time.  Blocks of 64 wrote no faster per row, and their strings
+# matrix states, not per row, one float64 array of the block's rows and the
+# string of each distinct magnitude of those rows; memory holds one block at
+# a time.  Blocks of 64 wrote no faster per row, and their strings
 # raised flow's peak RSS by about 1 MiB
 _EIG_BLOCK = 16
 
@@ -173,22 +174,33 @@ def _rng(problem: Problem, override: int | None):
     return np.random.default_rng(seed)
 
 
-def _csv_lines(block, kind):
-    """The CSV lines of a block of rows, one line at a time.
+def _yaml_repr(x: float) -> str:
+    """A float as PyYAML writes it: ``.nan``, ``.inf`` or ``-.inf``, else its
+    ``repr`` with ``.0`` put before an ``e`` that has no ``.`` before it."""
+    s = repr(x)
+    if "." in s:
+        return s
+    return s[:-3] + "." + s[-3:] if s[-1] in "nf" else s.replace("e", ".0e")
 
-    Each entry is written as its shortest round-trip ``repr``.  A simplex row
-    is joined as it is.  A matrix row repeats magnitudes: a Hermitian state
-    mirrors each real off-diagonal entry, negates each imaginary one and has
-    a +0.0 imaginary diagonal.  So in a block of matrix rows, a column that
-    is +0.0 in every row is the one string "0.0", each distinct magnitude of
-    the other entries is formatted once, and a negative entry is "-" and its
-    magnitude's string, which is its ``repr``; NaN is never negative here,
-    because its ``repr`` has no sign.  No symmetry is assumed: any rows give
-    the bytes of ``repr`` on every entry.
+
+def _lines(block, kind, fmt):
+    """The CSV lines, or the items of the YAML block sequence, of a block of rows.
+
+    Each entry is its shortest round-trip ``repr``, spelled in structured
+    output as PyYAML spells it.  A simplex row is joined as it is.  A matrix
+    row repeats magnitudes: a Hermitian state mirrors each real off-diagonal
+    entry, negates each imaginary one and has a +0.0 imaginary diagonal.  So
+    in a block of matrix rows, a column that is +0.0 in every row is the one
+    string "0.0", each distinct magnitude of the other entries is formatted
+    once, and a negative entry is "-" and its magnitude's string; NaN is never
+    negative here, because neither format writes its sign.  No symmetry is
+    assumed: any rows give the bytes of formatting every entry on its own.
     """
+    number, start, sep, end = ((repr, "", ",", "\r\n") if fmt == "csv"
+                               else (_yaml_repr, "- - ", "\n  - ", "\n"))
     if kind == "simplex":
         for row in block.tolist():
-            yield ",".join(map(repr, row))
+            yield start + sep.join(map(number, row)) + end
         return
     cols = np.flatnonzero(((block != 0.0) | np.signbit(block)).any(axis=0))
     values = block[:, cols]
@@ -197,7 +209,7 @@ def _csv_lines(block, kind):
     count = len(magnitudes)
     # the strings of the magnitudes, of those that occur negated, and "0.0"
     table = np.empty(2 * count + 1, dtype=object)
-    table[:count] = strings = list(map(repr, magnitudes.tolist()))
+    table[:count] = strings = list(map(number, magnitudes.tolist()))
     table[-1] = "0.0"
     negative = np.signbit(values) & ~np.isnan(values)
     negated = np.flatnonzero(np.bincount(codes[negative], minlength=count))
@@ -206,7 +218,7 @@ def _csv_lines(block, kind):
     line = np.full(block.shape[1], 2 * count)
     for row in codes:
         line[cols] = row
-        yield ",".join(table[line].tolist())
+        yield start + sep.join(table[line].tolist()) + end
 
 
 def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -> None:
@@ -215,10 +227,10 @@ def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -
     States that are matrices give 'matrix' rows, vectors 'simplex' rows;
     ``extra`` is an optional (column_name, values) pair appended as the last
     column.  Each block of ``_EIG_BLOCK`` records is built as a float64 array
-    and written before the next, so memory holds one block, not the whole
-    table.  CSV lines are in the csv module's default dialect, and no field
-    needs quoting.  Structured output dumps the header mapping, then writes
-    ``rows:`` and dumps each block's rows: the bytes of the whole document.
+    and written by ``_lines`` before the next, so memory holds one block, not
+    the whole table.  CSV lines are in the csv module's default dialect, and
+    no field needs quoting.  Structured output is PyYAML's bytes for the whole
+    document, but PyYAML dumps only the header mapping; ``rows:`` follows.
     """
     if fmt not in ("csv", "structured"):
         raise ContractError(f"unknown format {fmt!r}; choose csv or structured")
@@ -252,11 +264,7 @@ def write_trajectory(path, traj: FlowTrajectory, fmt: str = "csv", extra=None) -
             columns = [traj.times[rows], *states, traj.potential_values[rows]]
             if extra is not None:
                 columns.append(extra[1][rows])
-            block = np.column_stack(columns)
-            if fmt == "csv":
-                f.writelines(line + "\r\n" for line in _csv_lines(block, kind))
-            else:
-                yaml.dump(block.tolist(), f, Dumper=_DUMPER)
+            f.writelines(_lines(np.column_stack(columns), kind, fmt))
 
 
 def read_trajectory(path, fmt: str = "csv") -> dict:

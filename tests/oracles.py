@@ -7,7 +7,10 @@ these calls, made case by case in the suite's order, would draw.
 ``vertical_component_check`` certifies the orthogonality of the lift's
 vertical/horizontal splitting.  ``trace_field_K`` and ``trace_matrix_norm``
 are the matrix kernel's flow field and trace norm as first written, with
-``ndarray.trace``.  No part of the package calls them.
+``ndarray.trace``.  ``linear_field`` and ``linear_flow`` are the SLD gradient
+flow of the linear potential tr(C rho) and its closed form, an exact answer
+for the RK4 loop on dense, non-commuting states.  No part of the package
+calls them.
 """
 
 import numpy as np
@@ -90,3 +93,17 @@ def trace_field_K(rho, c) -> np.ndarray:
 def trace_matrix_norm(rho):
     """``_kernels._matrix_norm`` written with ``ndarray.trace``."""
     return rho.trace().real
+
+
+def linear_field(rho, c) -> np.ndarray:
+    """-grad tr(C rho) with C = diag(c): tr(C rho) rho - (C rho + rho C)/2."""
+    c_rho = c[:, None] * rho
+    return np.trace(c_rho).real * rho - 0.5 * (c_rho + rho * c)
+
+
+def linear_flow(rho0, c, t) -> np.ndarray:
+    """The state of ``linear_field``'s flow from rho0 at time t, for every rho0:
+    e^{-Ct/2} rho0 e^{-Ct/2} over its trace."""
+    d = np.exp(-0.5 * t * np.asarray(c))
+    rho = d[:, None] * rho0 * d
+    return rho / np.trace(rho).real

@@ -171,15 +171,18 @@ class TestWriteTrajectory:
     def _matrix_traj(**params):
         rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
         traj = integrate_matrix(rho0, [1.0, -2.0], IntegrationParams(**{"t_max": 0.5, **params}))
-        # -0.0, subnormal and large values in every kind of column
-        traj._record(1e300, np.array([[0.5, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]]), -0.0)
-        traj._record(-0.0, np.array([[1e300, 2.5e-310], [2.5e-310, -1e-300]]), 1.7e308)
+        # -0.0, subnormal and large values in every kind of column; 1e16 and
+        # 1e22 have a repr with neither "." nor "e-"
+        traj._record(1e300, np.array([[1e16, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]]), -0.0)
+        traj._record(-0.0, np.array([[1e300, 2.5e-310 - 1e22j], [2.5e-310 + 1e22j, -1e-300]]),
+                     1.7e308)
         return traj
 
     @staticmethod
     def _simplex_traj():
         traj = integrate_simplex([0.2, 0.3, 0.5], [1.0, -2.0, 0.5], IntegrationParams(t_max=0.5))
         traj._record(1e300, np.array([-0.0, 5e-324, 1e300]), -0.0)
+        traj._record(1e16, np.array([1e16, -1e22, -inf]), np.copysign(nan, -1.0))
         return traj
 
     CASES = pytest.mark.parametrize("kind, with_extra, params", [
@@ -198,7 +201,7 @@ class TestWriteTrajectory:
         extra = None
         if with_extra:
             values = [0.1 * k for k in range(len(traj.times))]
-            values[:3] = [-0.0, 5e-324, 1e300]
+            values[:5] = [-0.0, 5e-324, 1e300, 1e16, -1e22]
             extra = ("commutator_norm", values)
         if params:
             assert len(traj.times) == 153
@@ -213,24 +216,46 @@ class TestWriteTrajectory:
         reference_write(want, traj, kind, fmt, extra=extra)
         data = got.read_bytes()
         assert data == want.read_bytes()
-        for token in (b"-0.0", b"e-324", b"e+300"):
+        large = (b"1e+16", b"-1e+22") if fmt == "csv" else (b"1.0e+16", b"-1.0e+22")
+        for token in (b"-0.0", b"e-324", b"e+300", *large):
             assert token in data
 
-    def test_structured_output_is_dumped_one_block_at_a_time(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_rows_are_formatted_one_block_at_a_time(self, tmp_path, monkeypatch, fmt):
+        """PyYAML dumps the structured header mapping only, once per file, and
+        the rows reach the line formatter in blocks of at most ``_EIG_BLOCK``."""
         traj, extra = self._case("matrix", True, {"t_max": 1.5, "record_every": 1})
         got, want = tmp_path / "got", tmp_path / "want"
-        reference_write(want, traj, "matrix", "structured", extra=extra)
-        dump, rows_per_dump = yaml.dump, []
+        reference_write(want, traj, "matrix", fmt, extra=extra)
+        dump, lines, dumped, block_rows = yaml.dump, problem_io._lines, [], []
 
         def counting_dump(data, *args, **kwargs):
-            rows_per_dump.append(len(data.get("rows", ()) if isinstance(data, dict) else data))
+            dumped.append(data)
             return dump(data, *args, **kwargs)
 
+        def counting_lines(block, *args):
+            block_rows.append(len(block))
+            return lines(block, *args)
+
         monkeypatch.setattr(yaml, "dump", counting_dump)
-        write_trajectory(got, traj, fmt="structured", extra=extra)
-        assert sum(rows_per_dump) == len(traj.times)
-        assert max(rows_per_dump) <= problem_io._EIG_BLOCK
+        monkeypatch.setattr(problem_io, "_lines", counting_lines)
+        write_trajectory(got, traj, fmt=fmt, extra=extra)
+        header = {"kind": "matrix", "stop_reason": traj.stop_reason,
+                  "columns": read_trajectory(want, fmt)["columns"]}
+        assert dumped == ([] if fmt == "csv" else [header])
+        assert max(block_rows) <= problem_io._EIG_BLOCK
+        assert sum(block_rows) == len(traj.times)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_yaml_repr_spells_floats_as_pyyaml(self):
+        """``_yaml_repr`` writes each float as ``_DUMPER`` does: seeded random
+        bit patterns, NaNs with any payload among them, and special values."""
+        bits = np.random.default_rng(21).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist() + [
+            0.0, -0.0, inf, -inf, nan, float(np.copysign(nan, -1.0)), 5e-324, -5e-324,
+            1e16, -1e16, 1e22, -1e22, 2.0**53, -(2.0**53), 1e300]
+        want = yaml.dump(values, Dumper=problem_io._DUMPER)
+        assert "".join(f"- {problem_io._yaml_repr(v)}\n" for v in values) == want
 
     @staticmethod
     def _diagonal_traj(records):
@@ -355,7 +380,7 @@ class TestWriteTrajectory:
         """A Hermitian m = 8 row has 75 distinct magnitudes among its 139
         entries: t, 8 real diagonal entries, 28 real and 28 imaginary
         upper-triangle entries, 8 eigenvalues, potential and commutator_norm;
-        its imaginary diagonal is +0.0."""
+        its imaginary diagonal is +0.0.  Both formats format each one once."""
         traj, extra = self._dense_traj(t_max=0.63)
         assert len(traj.times) == 64
         for rho in traj.states:
@@ -368,8 +393,10 @@ class TestWriteTrajectory:
             return repr(value)
 
         monkeypatch.setattr(problem_io, "repr", counting_repr, raising=False)
-        write_trajectory(tmp_path / "got", traj, extra=extra)
-        assert len(calls) <= 75 * len(traj.times)
+        for fmt in ("csv", "structured"):
+            calls.clear()
+            write_trajectory(tmp_path / fmt, traj, fmt=fmt, extra=extra)
+            assert 0 < len(calls) <= 75 * len(traj.times)
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     @CASES
