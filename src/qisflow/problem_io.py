@@ -6,10 +6,8 @@ initial state too, and names the field of a bad one.  Trajectories are written
 as CSV or as a structured YAML equivalent; both re-parse bit-exactly (floats
 are emitted with shortest round-trip repr).  The writer builds the rows one
 block of records at a time as a float64 array and writes the block before it
-builds the next, so memory holds one block, not the whole table.  One row
-formatter serves both formats: it formats each distinct magnitude of a block
-of matrix rows once, since a Hermitian state repeats most of its entries up
-to sign, and PyYAML writes only the structured header.
+builds the next, so memory holds one block, not the whole table; one row
+formatter serves both formats, and PyYAML writes only the structured header.
 """
 
 from __future__ import annotations
