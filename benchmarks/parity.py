@@ -36,8 +36,9 @@ arithmetic off the diagonal.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
-code and in each line's label, tolerance and pass/FAIL; changes in
-``max_error`` are listed but do not fail.
+code, number of lines and each line's label, tolerance and pass/FAIL; each
+of these that differs is reported on its own line.  Changes in ``max_error``
+are listed but do not fail.
 Exits 0 when the checkouts agree, 1 otherwise.
 """
 
@@ -192,13 +193,14 @@ def start(checkout: Path, calls, outdir: Path) -> subprocess.Popen:
     return proc
 
 
-def verify_lines(stdout: str) -> list[tuple[str, str, str]]:
-    """(label, max_error, tolerance and status) per line of ``verify`` output."""
+def verify_lines(stdout: str) -> list[tuple[str, str, str, str]]:
+    """(label, max_error, tolerance, status) per line of ``verify`` output."""
     rows = []
     for line in stdout.splitlines():
         label, _, rest = line.partition(": max_error=")
-        error, _, tail = rest.partition(" ")
-        rows.append((label, error, tail))
+        error, _, tail = rest.partition(" tolerance=")
+        tolerance, _, status = tail.partition(" ")
+        rows.append((label, error, tolerance, status))
     return rows
 
 
@@ -222,11 +224,17 @@ def compare(calls, results, outdirs) -> tuple[list[str], list[str]]:
                 failures.append(f"{what}: trajectory {name} differs")
             continue
         rows_a, rows_b = verify_lines(a[1]), verify_lines(b[1])
-        if [(r[0], r[2]) for r in rows_a] != [(r[0], r[2]) for r in rows_b]:
-            failures.append(f"{what}: labels, tolerances or pass/FAIL differ")
-            continue
-        changes += [f"{what} {la}: max_error {ea} -> {eb}"
-                    for (la, ea, _), (_, eb, _) in zip(rows_a, rows_b) if ea != eb]
+        if len(rows_a) != len(rows_b):
+            failures.append(f"{what}: {len(rows_a)} -> {len(rows_b)} lines")
+        for (la, ea, ta, sa), (lb, eb, tb, sb) in zip(rows_a, rows_b):
+            if la != lb:
+                failures.append(f"{what}: label {la} -> {lb}")
+            if ta != tb:
+                failures.append(f"{what} {la}: tolerance {ta} -> {tb}")
+            if sa != sb:
+                failures.append(f"{what} {la}: {sa} -> {sb}")
+            if ea != eb:
+                changes.append(f"{what} {la}: max_error {ea} -> {eb}")
     return failures, changes
 
 

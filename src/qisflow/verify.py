@@ -1,17 +1,17 @@
 """Randomized verification suites for the geometric identities.
 
 Each suite returns a list of ``CheckResult`` records (identity label, max
-observed error over all cases, tolerance).  The CLI prints them; tests assert
-on them.  A suite draws the raw numbers of its cases one by one from its
-seed, in the order of the ``random_*`` calls of one case (a
-spectrum is one ``standard_exponential`` call, normalized by
-``randstate.spectrum_from``), stacks them into blocks of up to ``BLOCK``
-cases of one size, shapes the instances once per block with the
+observed error over all cases, tolerance).  The CLI prints them; tests assert on
+them.  The metric-factor and gradient checks take the error of a pairing <u, v>
+relative to |u| |v|, its Cauchy-Schwarz bound (``_pairing_error``).  A suite
+draws the raw numbers of its cases one by one from its seed, in the order of the
+``random_*`` calls of one case (a spectrum is one ``standard_exponential`` call,
+normalized by ``randstate.spectrum_from``), stacks them into blocks of up to
+``BLOCK`` cases of one size, shapes the instances once per block with the
 ``randstate`` shaping functions, and checks each identity once per block.
-``verify --seed k`` so checks exactly the instances that per-case
-``random_*`` calls would draw; those generators are the ``randstate`` ones
-and, for tangents, unitaries and anti-Hermitian matrices, the test
-oracles in ``tests/oracles.py``.
+``verify --seed k`` so checks exactly the instances that per-case ``random_*``
+calls would draw; those generators are the ``randstate`` ones and, for tangents,
+unitaries and anti-Hermitian matrices, the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .simplex import _karmarkar_field, _potential_kappa, check_isometry, simplex
 
 # xi2 is traceless and u2 sums to zero, so both difference lines are exactly
 # quadratic and a central difference has no truncation error; only round-off
-# of about eps*|K|/step is left, and at small steps it reaches the 1e-6
-# relative bound when the pairing is small.
+# of about eps*|K|/step is left, which a smaller step makes larger.
 FD_STEP = 1e-2
 # Cases per stacked block; bounds the memory of a suite at any --count.
 BLOCK = 256
@@ -80,10 +79,13 @@ def fd_kappa_derivative(x, c, u2):
     return _scalar((at(FD_STEP) - at(-FD_STEP)) / (2.0 * FD_STEP))
 
 
-def _rel_err(a, b):
-    """|a - b| / max(|a|, |b|) per member, 0 where both are below 1e-12."""
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale >= 1e-12)
+def _pairing_error(metric, u, v, value):
+    """|<u, v> - value| / (|u| |v|) per member, <a, b> being ``metric(a, b)``, called
+    once for the Gram matrix of T = [u, v].  The pairing's round-off is of order
+    eps |u| |v|, its Cauchy-Schwarz bound, so a near-orthogonal pair needs no floor."""
+    t = np.stack([u, v])
+    gram = metric(t[:, None], t[None, :])
+    return np.abs(gram[0, 1] - value) / np.sqrt(gram[0, 0] * gram[1, 1])
 
 
 def _blocks(seed: int, count: int, sizes, draw):
@@ -149,10 +151,10 @@ def metric_suite(seed: int, count: int = 500) -> list[CheckResult]:
     """Reduced-metric identity: qf_metric = 4 * r_metric on random instances."""
     worst = 0.0
     for rho, xi, xi2 in _metric_blocks(seed, count):
-        qf = qf_metric(rho, xi, xi2)
         r = reduced_metric(rho, xi, xi2, n=2)
-        worst = max(worst, np.max(np.abs(qf - 4.0 * r) / np.maximum(np.abs(qf), 1e-12)))
-    return [CheckResult("qf_equals_4r_relative", float(worst), 1e-9)]
+        error = _pairing_error(lambda a, b: qf_metric(rho, a, b), xi, xi2, 4.0 * r)
+        worst = max(worst, np.max(error))
+    return [CheckResult("qf_equals_4r_relative", float(worst), 1e-13)]
 
 
 def isometry_suite(seed: int, count: int = 1000) -> list[CheckResult]:
@@ -177,12 +179,13 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
         grad_x = -np.stack([_karmarkar_field(*case) for case in zip(x, c)])
         fd = fd_potential_derivative(rho, c, xi2)
         fd_x = fd_kappa_derivative(x, c, u2)
-        worst_matrix = max(worst_matrix, np.max(_rel_err(qf_metric(rho, grad, xi2), fd)))
-        worst_simplex = max(worst_simplex,
-                            np.max(_rel_err(simplex_metric(x, grad_x, u2), fd_x)))
+        worst_matrix = max(worst_matrix, np.max(_pairing_error(
+            lambda a, b: qf_metric(rho, a, b), grad, xi2, fd)))
+        worst_simplex = max(worst_simplex, np.max(_pairing_error(
+            lambda a, b: simplex_metric(*np.broadcast_arrays(x, a, b)), grad_x, u2, fd_x)))
     return [
-        CheckResult("matrix_gradient_fd_relative", float(worst_matrix), 1e-6),
-        CheckResult("simplex_gradient_fd_relative", float(worst_simplex), 1e-6),
+        CheckResult("matrix_gradient_fd_relative", float(worst_matrix), 1e-8),
+        CheckResult("simplex_gradient_fd_relative", float(worst_simplex), 2e-7),
     ]
 
 

@@ -27,7 +27,13 @@ from qisflow.randstate import (
     spectrum_from,
     unitary_from,
 )
-from qisflow._kernels import STATUS_OK, _advance, _matrix_lowest, _matrix_norm
+from qisflow._kernels import (
+    STATUS_BOUNDARY,
+    STATUS_OK,
+    _advance,
+    _matrix_lowest,
+    _matrix_norm,
+)
 from oracles import linear_field, linear_flow, random_lp_cost, random_tangent
 
 
@@ -409,6 +415,21 @@ class TestOrder:
             assert min(observed_orders(errs)) >= 3.5
             # 8e-9 to 1.5e-7 at h = 0.025 on these four cases
             assert errs[-1] < 3e-7
+
+    def test_dense_linear_flow_boundary_is_bracketed_by_closed_form(self):
+        # The flow drives rho to the projector on argmin c, so the floor is met;
+        # the step that stops the loop is the one at which the exact state's
+        # lowest eigenvalue falls below the floor.
+        floor = 1e-6
+        for rho0, c in dense_cases():
+            rho0 = 0.5 * (rho0 + rho0.conj().T)
+            for h in (0.05, 0.01):
+                _, steps, status = _advance(rho0, c, h, 10**4, floor, linear_field,
+                                            _matrix_lowest, _matrix_norm)
+                assert status == STATUS_BOUNDARY
+                before = np.linalg.eigvalsh(linear_flow(rho0, c, (steps - 1) * h))[0]
+                at = np.linalg.eigvalsh(linear_flow(rho0, c, steps * h))[0]
+                assert before >= floor > at, (h, steps, before, at)
 
     def test_simplex_flow_dissipation(self):
         rng = np.random.default_rng(109)
