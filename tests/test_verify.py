@@ -34,8 +34,8 @@ from oracles import (
 # Seeds on which a central difference at step 1e-5 exceeded the 1e-6 relative
 # bound through round-off alone.  They stay pinned under the Cauchy-Schwarz
 # scale: that round-off, about eps*|K|/step, is not proportional to
-# |grad| |u2|, so it stays where the pair is far from orthogonal (1200014's
-# worst case has m = 2, where |cos| is 1, and reads 7.8e-9 at FD_STEP).
+# |grad| |u2|, so the scale does not remove it (1200014's worst case has
+# m = 2, where |cos| is 1, and reads 7.8e-9 at FD_STEP).
 ROUND_OFF_SEEDS = [1200014, 3300010, 3300053, 3600027, 3800037, 2800008, 3800058]
 
 
