@@ -16,7 +16,9 @@ runs every call with each checkout's own ``src/`` in its own process:
 
 and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
 the costs of the first LP problems of the first seed, each with ``solve-lp``
-and ``solve-lp --simplex``, and those of its first flow problems with ``flow``;
+and ``solve-lp --simplex``, and those of its first flow problems with ``flow``,
+the first SEED_FLAG_PROBLEMS of each kind again with a ``--seed`` that differs
+from the file's (it replaces the file's seed);
 the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
 (``init`` left out, so the barycenter) and the same calls; the START_STOPS
 problems, which stop at t=0 (an init below ``boundary_floor``, a constant
@@ -63,6 +65,7 @@ STRUCTURED_LP_PROBLEMS = 10
 FLOW_PROBLEMS = 15
 VERIFY_SEEDS = 60
 RANDOM_INIT_SEEDS = 20
+SEED_FLAG_PROBLEMS = 5
 BARYCENTER_PROBLEMS = 10
 START_STOPS = {
     "floor": "m: 2\nc: [1.0, 2.0]\ninit:\n  diagonal: [0.99999999999, 1.0e-11]\n",
@@ -134,11 +137,14 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
         for i in range(VERIFY_SEEDS):
             calls.append(("verify", ["verify", "all", "--seed",
                                      str(inputs.verify_seed(seed, i))], None))
-    texts = {}
+    texts, seed_flags = {}, {}
     for i in range(RANDOM_INIT_SEEDS):
         init = f"init: random\nseed: {i}\n"
         texts[f"lp-random-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), init)
         texts[f"flow-random-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), init)
+        if i < SEED_FLAG_PROBLEMS:
+            seed_flags[f"lp-random-{i}"] = seed_flags[f"flow-random-{i}"] = [
+                "--seed", str(RANDOM_INIT_SEEDS + i)]
     for i in range(BARYCENTER_PROBLEMS):
         texts[f"lp-barycenter-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), "")
         texts[f"flow-barycenter-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), "")
@@ -147,14 +153,18 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     for stem, text in texts.items():
         path = workdir / f"{stem}.yaml"
         path.write_text(text)
-        if stem.startswith("flow-"):
-            calls.append(("flow", ["flow", str(path), "-o", "{out}/" + stem + ".csv"],
-                          stem + ".csv"))
-            continue
-        for flag in ([], ["--simplex"]):
-            name = f"{stem}{'-simplex' if flag else ''}.csv"
-            calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
-                                       *flag], name))
+        runs = [("", [])]
+        if stem in seed_flags:
+            runs.append(("-seed", seed_flags[stem]))
+        for tag, seed in runs:
+            if stem.startswith("flow-"):
+                name = f"{stem}{tag}.csv"
+                calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name, *seed], name))
+                continue
+            for flag in ([], ["--simplex"]):
+                name = f"{stem}{tag}{'-simplex' if flag else ''}.csv"
+                calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
+                                           *seed, *flag], name))
     for scale in COST_SCALES:
         for i in range(SCALED_PROBLEMS):
             problem = inputs.lp_problem(SEEDS[0], i)
@@ -184,6 +194,7 @@ def start(checkout: Path, calls, outdir: Path) -> subprocess.Popen:
     """Start the worker for one checkout on ``calls``, writing into ``outdir``."""
     outdir.mkdir()
     jobs = [[a.replace("{out}", str(outdir)) for a in argv] for _, argv, _ in calls]
+    # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     proc = subprocess.Popen([sys.executable, "-c", WORKER], cwd=outdir, env=env,

@@ -116,6 +116,7 @@ json.dump(result, sys.stdout)
 
 def run_once(checkout: Path) -> dict:
     """One worker process on ``checkout``'s ``src/``; returns its result."""
+    # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     job = {"root": str(ROOT), "seed": SEED, "flow_files": FLOW_FILES, "lp_files": LP_FILES,

@@ -71,44 +71,37 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _resolve_params(problem, args) -> IntegrationParams:
-    """The problem file's params, with each flag that was given in its place;
-    an invalid value is named by its flag."""
+def _resolve(problem, args):
+    """The problem with each flag that was given in place of its file value:
+    the param flags over ``params``, --seed over ``seed``; an invalid value is
+    named by its flag."""
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegrationParams)
              if getattr(args, f.name) is not None}
     try:
-        return dataclasses.replace(problem.params, **flags)
+        params = dataclasses.replace(problem.params, **flags)
     except ParamError as exc:
         raise ContractError(exc.labelled(
             lambda name: "--" + name.replace("_", "-") if name in flags else name
         )) from exc
+    return dataclasses.replace(problem, params=params, seed=_seed(args, problem.seed))
 
 
-def _seed(args) -> int | None:
-    """The seed given by --seed, else by QISFLOW_SEED, else None."""
-    source, raw = "--seed", args.seed
-    if raw is None:
-        source, raw = "QISFLOW_SEED", os.environ.get("QISFLOW_SEED")
-        if not raw:
-            return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise ContractError(f"{source} must be a non-negative integer, got {raw!r}")
-    return seed
+def _seed(args, default):
+    """The seed given by --seed, else ``default``."""
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ContractError(f"--seed must be a non-negative integer, got {args.seed!r}")
+    return args.seed
 
 
 def cmd_solve_lp(args) -> int:
-    problem = load_problem(args.problem)
-    params = _resolve_params(problem, args)
-    seed = _seed(args)
+    problem = _resolve(load_problem(args.problem), args)
     if args.simplex:
-        traj = integrate_simplex(initial_simplex(problem, seed), problem.c, params)
+        traj = integrate_simplex(initial_simplex(problem), problem.c, problem.params)
         diag = traj.final_state
     else:
-        traj = integrate_matrix(initial_density(problem, seed), problem.c, params)
+        traj = integrate_matrix(initial_density(problem), problem.c, problem.params)
         diag = np.diag(traj.final_state).real
     write_trajectory(args.output, traj, fmt=args.format)
 
@@ -123,11 +116,8 @@ def cmd_solve_lp(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    problem = load_problem(args.problem)
-    params = _resolve_params(problem, args)
-    traj = integrate_matrix(
-        initial_density(problem, _seed(args)), problem.c, params
-    )
+    problem = _resolve(load_problem(args.problem), args)
+    traj = integrate_matrix(initial_density(problem), problem.c, problem.params)
     rho0 = traj.states[0]
     comm = [
         float(np.linalg.norm(rho @ rho0 - rho0 @ rho)) for rho in traj.states
@@ -141,7 +131,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, _seed(args) or 0, args.count)
+    results = run_suite(args.suite, _seed(args, 0), args.count)
     ok = True
     for res in results:
         status = "pass" if res.passed else "FAIL"

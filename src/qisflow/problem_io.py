@@ -146,30 +146,29 @@ def _field(path, name: str):
         raise ContractError(f"{path}: field {name!r} is malformed: {exc}") from exc
 
 
-def initial_density(problem: Problem, seed: int | None = None) -> np.ndarray:
+def initial_density(problem: Problem) -> np.ndarray:
     """The problem's initial density matrix: the one checked at load, or a random one."""
     if problem.init_kind == "matrix":
         return problem.init_data
     if problem.init_kind == "random":
-        return random_density(_rng(problem, seed), problem.m)
+        return random_density(_rng(problem), problem.m)
     return np.diag(problem.init_data).astype(np.complex128)
 
 
-def initial_simplex(problem: Problem, seed: int | None = None) -> np.ndarray:
+def initial_simplex(problem: Problem) -> np.ndarray:
     """The problem's initial simplex point: the one checked at load, or a random one."""
     if problem.init_kind == "matrix":
         raise ContractError("matrix init requires the matrix flow")
     if problem.init_kind == "random":
-        return random_simplex_point(_rng(problem, seed), problem.m)
+        return random_simplex_point(_rng(problem), problem.m)
     return problem.init_data
 
 
-def _rng(problem: Problem, override: int | None):
-    """A generator seeded by ``override``, else by the problem file's seed."""
-    seed = override if override is not None else problem.seed
-    if seed is None:
-        raise ContractError("random init needs a seed (problem file, --seed, or QISFLOW_SEED)")
-    return np.random.default_rng(seed)
+def _rng(problem: Problem):
+    """A generator seeded by the problem's seed."""
+    if problem.seed is None:
+        raise ContractError("random init needs a seed (problem file or --seed)")
+    return np.random.default_rng(problem.seed)
 
 
 def _yaml_repr(x: float) -> str:

@@ -153,7 +153,7 @@ def metric_suite(seed: int, count: int = 500) -> list[CheckResult]:
     for rho, xi, xi2 in _metric_blocks(seed, count):
         r = reduced_metric(rho, xi, xi2, n=2)
         error = _pairing_error(lambda a, b: qf_metric(rho, a, b), xi, xi2, 4.0 * r)
-        worst = max(worst, np.max(error))
+        worst = np.maximum(worst, np.max(error))
     return [CheckResult("qf_equals_4r_relative", float(worst), 1e-13)]
 
 
@@ -162,7 +162,7 @@ def isometry_suite(seed: int, count: int = 1000) -> list[CheckResult]:
     worst = 0.0
     for x, u, u2 in _isometry_blocks(seed, count):
         embedded, classical = check_isometry(x, u, u2)
-        worst = max(worst, np.max(np.abs(embedded - classical)))
+        worst = np.maximum(worst, np.max(np.abs(embedded - classical)))
     return [CheckResult("isometry_absolute", float(worst), 1e-12)]
 
 
@@ -179,9 +179,9 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
         grad_x = -np.stack([_karmarkar_field(*case) for case in zip(x, c)])
         fd = fd_potential_derivative(rho, c, xi2)
         fd_x = fd_kappa_derivative(x, c, u2)
-        worst_matrix = max(worst_matrix, np.max(_pairing_error(
+        worst_matrix = np.maximum(worst_matrix, np.max(_pairing_error(
             lambda a, b: qf_metric(rho, a, b), grad, xi2, fd)))
-        worst_simplex = max(worst_simplex, np.max(_pairing_error(
+        worst_simplex = np.maximum(worst_simplex, np.max(_pairing_error(
             lambda a, b: simplex_metric(*np.broadcast_arrays(x, a, b)), grad_x, u2, fd_x)))
     return [
         CheckResult("matrix_gradient_fd_relative", float(worst_matrix), 1e-8),
@@ -198,10 +198,10 @@ def lift_suite(seed: int, count: int = 100) -> list[CheckResult]:
         phi = lift_point(rho, n=2, g=g)
         lifted = horizontal_lift(phi, xi)
         hor = phi @ _dagger(lifted) - lifted @ _dagger(phi)
-        worst_hor = max(worst_hor, np.max(np.abs(hor)))
+        worst_hor = np.maximum(worst_hor, np.max(np.abs(hor)))
         push = pi_differential(phi, lifted)
-        worst_push = max(worst_push, np.max(np.abs(push - xi)))
-        worst_orth = max(worst_orth, np.max(np.abs(ambient_metric(lifted, eta @ phi))))
+        worst_push = np.maximum(worst_push, np.max(np.abs(push - xi)))
+        worst_orth = np.maximum(worst_orth, np.max(np.abs(ambient_metric(lifted, eta @ phi))))
     return [
         CheckResult("horizontality_residual", float(worst_hor), 1e-10),
         CheckResult("pushforward_residual", float(worst_push), 1e-9),

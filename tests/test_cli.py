@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from math import inf, nan
 
 import numpy as np
@@ -70,7 +71,7 @@ class TestProblemIO:
         }))
         with pytest.raises(ContractError):
             initial_density(p)
-        rho = initial_density(p, seed=5)
+        rho = initial_density(dataclasses.replace(p, seed=5))
         check_density(rho)
 
     @pytest.mark.parametrize("doc", [
@@ -474,14 +475,33 @@ class TestSolveLp:
             x = ts["rows"][:n, cols_s[f"x_{j + 1}"]]
             assert np.max(np.abs(diag - x)) < 1e-8
 
-    def test_deterministic_output(self, tmp_path, capsys):
+    def test_deterministic_output(self, tmp_path, capsys, monkeypatch):
+        """A run's output is fixed by its argv and problem file: an exported
+        QISFLOW_SEED does not replace the file's seed."""
         prob = write_problem(tmp_path / "p.yaml", {
             "m": 3, "c": [-2.0, 1.0, -1.0], "init": "random", "seed": 11,
         })
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["solve-lp", prob, "-o", str(out1)]) == 0
-        assert main(["solve-lp", prob, "-o", str(out2)]) == 0
-        capsys.readouterr()
+        for command in (["solve-lp"], ["solve-lp", "--simplex"], ["flow"]):
+            monkeypatch.delenv("QISFLOW_SEED", raising=False)
+            assert main([command[0], prob, "-o", str(out1), *command[1:]]) == 0
+            first = capsys.readouterr().out
+            monkeypatch.setenv("QISFLOW_SEED", "5")
+            assert main([command[0], prob, "-o", str(out2), *command[1:]]) == 0
+            assert capsys.readouterr().out == first, command
+            assert out1.read_bytes() == out2.read_bytes(), command
+
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    def test_seed_flag_replaces_file_seed(self, tmp_path, capsys, command):
+        doc = {"m": 3, "c": [-2.0, 1.0, -1.0], "init": "random", "params": {"t_max": 0.5}}
+        flagged = write_problem(tmp_path / "p5.yaml", {**doc, "seed": 5})
+        pinned = write_problem(tmp_path / "p11.yaml", {**doc, "seed": 11})
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([command[0], flagged, "-o", str(out1), "--seed", "11", *command[1:]]) == 0
+        first = capsys.readouterr().out
+        assert main([command[0], pinned, "-o", str(out2), *command[1:]]) == 0
+        assert capsys.readouterr().out == first
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_random_init_is_recorded_hermitian(self, tmp_path, capsys):
@@ -499,14 +519,12 @@ class TestSolveLp:
                          for j in range(4)] for i in range(4)])
         assert np.array_equal(rho, rho.conj().T)
 
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
+    def test_env_seed_fallback(self, tmp_path, capsys):
         prob = write_problem(tmp_path / "p.yaml", {
             "m": 3, "c": [-2.0, 1.0, -1.0], "init": "random",
         })
         out = tmp_path / "t.csv"
         assert main(["solve-lp", prob, "-o", str(out)]) == 1  # no seed anywhere
-        monkeypatch.setenv("QISFLOW_SEED", "11")
-        assert main(["solve-lp", prob, "-o", str(out)]) == 0
         capsys.readouterr()
 
     def test_roundtrip_csv_and_structured(self, tmp_path, capsys):
@@ -694,16 +712,11 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: qisflow")
 
-    @pytest.mark.parametrize("command, env, source", [
-        (["verify", "all", "--count", "1", "--seed", "-1"], None, "--seed"),
-        (["solve-lp", "--seed", "-1"], None, "--seed"),
-        (["verify", "all", "--count", "1"], "abc", "QISFLOW_SEED"),
-        (["solve-lp"], "-3", "QISFLOW_SEED"),
-    ], ids=["verify-flag-negative", "solve-lp-flag-negative", "env-abc", "env-negative"])
-    def test_bad_seed_outside_problem_file(self, tmp_path, capsys, monkeypatch,
-                                          command, env, source):
-        if env is not None:
-            monkeypatch.setenv("QISFLOW_SEED", env)
+    @pytest.mark.parametrize("command", [
+        ["verify", "all", "--count", "1", "--seed", "-1"],
+        ["solve-lp", "--seed", "-1"],
+    ], ids=["verify-flag-negative", "solve-lp-flag-negative"])
+    def test_bad_seed_outside_problem_file(self, tmp_path, capsys, command):
         if command[0] == "solve-lp":
             prob = write_problem(tmp_path / "p.yaml", {
                 "m": 3, "c": [-2.0, 1.0, -1.0], "init": "random",
@@ -711,7 +724,7 @@ class TestExitCodes:
             command = [*command, prob, "-o", str(tmp_path / "t.csv")]
         assert main(command) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {source} must be a non-negative integer, got ")
+        assert err.startswith("error: --seed must be a non-negative integer, got ")
 
     def test_invalid_init_state(self, tmp_path, capsys):
         prob = write_problem(tmp_path / "p.yaml", {

@@ -4,7 +4,8 @@ Every public top-level function of ``src/qisflow`` must be used by another
 part of the system (a package module other than ``__init__``, or the code
 under ``perfbench/`` or ``benchmarks/``, their tests excluded) or be named
 in the README as one of the paper's constructions.  Generators and checks
-that only tests call belong in ``tests/oracles.py``.
+that only tests call belong in ``tests/oracles.py``.  A run reads only its
+argv and its problem file: no module reads the environment.
 """
 
 import ast
@@ -57,3 +58,17 @@ def test_every_public_function_is_used_or_documented():
         if name not in used and not re.search(rf"\b{name}\b", readme)
     ]
     assert not unused, f"public, but neither used by the system nor named in README.md: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    """No ``os.environ`` or ``os.getenv``, by any spelling of the import."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in ("environ", "getenv") for alias in node.names))
+    ]
+    assert not reads, f"modules that read the environment: {reads}"

@@ -66,6 +66,49 @@ def test_scaled_reduced_metric_fails(monkeypatch):
         assert not result.passed, (seed, result)
 
 
+def test_zero_tangent_fails_metric_check(monkeypatch):
+    """A zero tangent makes the pairing error 0/0; the NaN must FAIL."""
+    exact = verify._metric_blocks
+
+    def zero_first_tangent(seed, count):
+        blocks = exact(seed, count)
+        rho, xi, xi2 = next(blocks)
+        xi = xi.copy()
+        xi[0] = 0.0
+        yield rho, xi, xi2
+        yield from blocks
+
+    monkeypatch.setattr(verify, "_metric_blocks", zero_first_tangent)
+    with np.errstate(invalid="ignore"):
+        [result] = verify.metric_suite(0)
+    assert np.isnan(result.max_error) and not result.passed, result
+
+
+def _first_entry_nan(fn):
+    """``fn`` with the first entry of its result (or of its result's first
+    array) set to NaN."""
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        first = np.array(out[0] if isinstance(out, tuple) else out)
+        first.flat[0] = np.nan
+        return (first, *out[1:]) if isinstance(out, tuple) else first
+    return wrapped
+
+
+@pytest.mark.parametrize("suite, name, label", [
+    ("isometry", "check_isometry", "isometry_absolute"),
+    ("gradient", "fd_potential_derivative", "matrix_gradient_fd_relative"),
+    ("gradient", "fd_kappa_derivative", "simplex_gradient_fd_relative"),
+    ("lift", "_dagger", "horizontality_residual"),
+    ("lift", "pi_differential", "pushforward_residual"),
+    ("lift", "ambient_metric", "vertical_orthogonality"),
+])
+def test_nan_error_fails(monkeypatch, suite, name, label):
+    monkeypatch.setattr(verify, name, _first_entry_nan(getattr(verify, name)))
+    result = {r.label: r for r in verify.run_suite(suite, 0)}[label]
+    assert np.isnan(result.max_error) and not result.passed, result
+
+
 # Calls of the verify-suites benchmark workload whose metric check, taken
 # relative to |qf| alone, read 1.1e-9 to 3.6e-9 against 1e-9: each on a pair
 # with |cos| below 5e-7, where qf itself is round-off sized.
