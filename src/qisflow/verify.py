@@ -38,9 +38,11 @@ from .randstate import (
 from .simplex import _karmarkar_field, _potential_kappa, check_isometry, simplex_metric
 
 # xi2 is traceless and u2 sums to zero, so both difference lines are exactly
-# quadratic and a central difference has no truncation error; only round-off
-# of about eps*|K|/step is left, which a smaller step makes larger.
-FD_STEP = 1e-2
+# quadratic and a central difference has no truncation error at any step
+# length; only round-off of about eps*|K|/t is left.  So each case steps
+# t = +-FD_STEP / (its tangent's largest entry): that entry moves by FD_STEP
+# however small the tangent, and the long step adds no truncation error.
+FD_STEP = 1.0
 # Cases per stacked block; bounds the memory of a suite at any --count.
 BLOCK = 256
 
@@ -58,25 +60,28 @@ class CheckResult:
 
 def fd_potential_derivative(rho, c, xi2):
     """Central finite difference of the cost potential along a trace-renormalized
-    line through rho in direction xi2; one value per member of a stack."""
+    line through rho in direction xi2, at t = +-FD_STEP / max |xi2_ij|; one value
+    per member of a stack."""
+    step = FD_STEP / np.max(np.abs(xi2), axis=(-2, -1))
 
     def at(t):
-        g = rho + t * xi2
+        g = rho + t[..., None, None] * xi2
         g = g / np.trace(g, axis1=-2, axis2=-1).real[..., None, None]
         return _potential_K(g, c)
 
-    return _scalar((at(FD_STEP) - at(-FD_STEP)) / (2.0 * FD_STEP))
+    return _scalar((at(step) - at(-step)) / (2.0 * step))
 
 
 def fd_kappa_derivative(x, c, u2):
-    """Central finite difference of kappa along a sum-renormalized line; one
-    value per member of a stack."""
+    """Central finite difference of kappa along a sum-renormalized line, at
+    t = +-FD_STEP / max |u2_j|; one value per member of a stack."""
+    step = FD_STEP / np.max(np.abs(u2), axis=-1)
 
     def at(t):
-        y = x + t * u2
+        y = x + t[..., None] * u2
         return _potential_kappa(y / y.sum(axis=-1, keepdims=True), c)
 
-    return _scalar((at(FD_STEP) - at(-FD_STEP)) / (2.0 * FD_STEP))
+    return _scalar((at(step) - at(-step)) / (2.0 * step))
 
 
 def _pairing_error(metric, u, v, value):
@@ -184,8 +189,8 @@ def gradient_suite(seed: int, count: int = 200) -> list[CheckResult]:
         worst_simplex = np.maximum(worst_simplex, np.max(_pairing_error(
             lambda a, b: simplex_metric(*np.broadcast_arrays(x, a, b)), grad_x, u2, fd_x)))
     return [
-        CheckResult("matrix_gradient_fd_relative", float(worst_matrix), 1e-8),
-        CheckResult("simplex_gradient_fd_relative", float(worst_simplex), 2e-7),
+        CheckResult("matrix_gradient_fd_relative", float(worst_matrix), 3e-12),
+        CheckResult("simplex_gradient_fd_relative", float(worst_simplex), 2e-8),
     ]
 
 

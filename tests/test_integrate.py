@@ -18,6 +18,7 @@ from qisflow.integrate import (
     _simplex_stationarity_norm,
     _stationarity_norm,
 )
+from qisflow.cli import main
 from qisflow.qis_core import _dagger, density_state
 from qisflow.gradient import grad_K, grad_general
 from qisflow.randstate import (
@@ -442,3 +443,102 @@ class TestOrder:
                 for h in ORDER_STEPS
             ]
             assert min(observed_orders(residuals)) >= 3.5
+
+
+SYMMETRY_PARAMS = IntegrationParams(step=1e-2, t_max=2, record_every=5, grad_tol=1e-300)
+
+
+def symmetry_cases():
+    """(c, rho0, d, perm, theta): 40 cases, m 2-8, with a sign vector d, a
+    permutation and diagonal phases theta of size m."""
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        yield (random_cost(rng, m), random_density(rng, m), rng.choice([-1.0, 1.0], m),
+               rng.permutation(m), rng.uniform(0.0, 2.0 * np.pi, m))
+
+
+class TestSymmetry:
+    """C is diagonal and real, and the SLD metric is unitarily invariant, so the
+    flow from D rho0 D^dagger is D rho(t) D^dagger for every diagonal unitary D,
+    from conj(rho0) it is conj(rho(t)), and permuting c and the indices together
+    permutes rho(t).  Sign flips and conjugation only negate floats, which IEEE
+    arithmetic does exactly, so those two transforms hold bit for bit (equal as
+    floats: only the sign of a zero may differ).  A permutation reorders sums and
+    a phase rounds; over these 40 cases their worst state errors were 6.7e-16 and
+    1.1e-15, and their worst potential errors 2.2e-15 and 3.1e-15, so the bounds
+    below are 4e-15 for states and 1e-14 for potentials."""
+
+    @staticmethod
+    def assert_same_flow(traj, base, expected, exact=True, states_tol=4e-15, pot_tol=1e-14):
+        states = np.array(traj.states)
+        assert traj.times == base.times and traj.stop_reason == base.stop_reason
+        if exact:
+            assert traj.potential_values == base.potential_values
+            assert np.array_equal(states, expected)
+        else:
+            pot = np.array(traj.potential_values) - base.potential_values
+            assert np.max(np.abs(pot)) < pot_tol
+            assert np.max(np.abs(states - expected)) < states_tol
+
+    def test_sign_conjugation_is_exact(self):
+        for c, rho0, d, _, _ in symmetry_cases():
+            base = integrate_matrix(rho0, c, SYMMETRY_PARAMS)
+            traj = integrate_matrix(d[:, None] * rho0 * d, c, SYMMETRY_PARAMS)
+            self.assert_same_flow(traj, base, d[:, None] * np.array(base.states) * d)
+
+    def test_complex_conjugation_is_exact(self):
+        for c, rho0, _, _, _ in symmetry_cases():
+            base = integrate_matrix(rho0, c, SYMMETRY_PARAMS)
+            traj = integrate_matrix(rho0.conj(), c, SYMMETRY_PARAMS)
+            self.assert_same_flow(traj, base, np.array(base.states).conj())
+
+    def test_permutation_within_measured_bound(self):
+        for c, rho0, _, perm, _ in symmetry_cases():
+            base = integrate_matrix(rho0, c, SYMMETRY_PARAMS)
+            traj = integrate_matrix(rho0[np.ix_(perm, perm)], c[perm], SYMMETRY_PARAMS)
+            self.assert_same_flow(traj, base, np.array(base.states)[:, perm][:, :, perm],
+                                  exact=False)
+
+    def test_diagonal_phases_within_measured_bound(self):
+        for c, rho0, _, _, theta in symmetry_cases():
+            u = np.exp(1j * theta)
+            base = integrate_matrix(rho0, c, SYMMETRY_PARAMS)
+            traj = integrate_matrix(u[:, None] * rho0 * u.conj(), c, SYMMETRY_PARAMS)
+            self.assert_same_flow(traj, base, u[:, None] * np.array(base.states) * u.conj(),
+                                  exact=False)
+
+    @staticmethod
+    def flow_columns(tmp_path, name, c, rho0):
+        """``qisflow flow`` on (c, rho0) at SYMMETRY_PARAMS: the CSV's columns,
+        each a list of its cells as written."""
+        def flow(a):  # a YAML flow sequence of 18-digit floats
+            return f"{a:.17e}" if np.ndim(a) == 0 else "[" + ", ".join(map(flow, a)) + "]"
+
+        problem, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.csv"
+        problem.write_text(
+            f"m: {len(c)}\nc: {flow(c)}\n"
+            f"init:\n  matrix:\n    real: {flow(rho0.real)}\n    imag: {flow(rho0.imag)}\n"
+            "params:\n  step: 1.0e-2\n  t_max: 2.0\n  record_every: 5\n  grad_tol: 1.0e-300\n")
+        assert main(["flow", str(problem), "-o", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        return dict(zip(header, zip(*rows)))
+
+    @pytest.mark.parametrize("transform", ["sign", "conj"])
+    def test_cli_negates_exactly_the_transformed_columns(self, tmp_path, capsys, transform):
+        for k, (c, rho0, d, _, _) in zip(range(6), symmetry_cases()):
+            moved = d[:, None] * rho0 * d if transform == "sign" else rho0.conj()
+            base = self.flow_columns(tmp_path, f"base-{k}", c, rho0)
+            cols = self.flow_columns(tmp_path, f"{transform}-{k}", c, moved)
+            assert list(cols) == list(base)
+            for name, cells in cols.items():
+                part, _, ij = name.partition("_")
+                if transform == "sign" and part in ("re", "im"):
+                    i, j = map(int, ij.split("_"))
+                    negated = d[i] * d[j] < 0
+                else:
+                    negated = transform == "conj" and part == "im"
+                if negated:
+                    assert [float(v) for v in cells] == [-float(v) for v in base[name]], name
+                else:
+                    assert cells == base[name], name
