@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_paired.json"
 WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
 WRITES = tuple(f"{k}-{f}" for k in ("dense", "diagonal", "simplex") for f in ("csv", "structured"))
-PAIRS = 200
+PAIRS = 500
 WARMUP = 3
 SEED = 22
 FLOW_FILES = 8
