@@ -1,20 +1,18 @@
 """Time two checkouts call by call in paired workers and append the ratios to BENCH_paired.json.
 
-Usage, from the root of a checkout:
-
-    python3 benchmarks/paired.py --checkout ../parent --checkout . --label "what changed"
+Usage: python3 benchmarks/paired.py --checkout ../parent --checkout . --label "what changed"
 
 A long-lived worker per checkout imports ``qisflow`` from that checkout's
 ``src/`` alone and ``perfbench`` from this script's checkout.  Per case both
 make WARMUP warm-up calls, then call k of PAIRS pairs, A first in even pairs
-and B first in odd ones.  The cases are each perfbench workload (``call_once``
-at seed SEED, checked by perfbench) and ``write_trajectory``, csv and
-structured, of dense rows (FLOW_FILES ``flow`` problems) and of diagonal and
-simplex rows (LP_FILES LP problems), integrated by each worker's ``src/``; the
-files' hashes must agree.  Per case it prints and appends the median per-pair
-ratio B/A of in-worker time, its quartiles and seeded bootstrap 95% CI, the
-pairs in each order, and each side's median time and failed calls (counted,
-never dropped).  It exits 1 when the sides write different files.
+and B first in odd ones: each perfbench workload (``call_once`` at seed SEED,
+checked by perfbench), and ``write_trajectory``, both formats, of dense rows
+(FLOW_FILES ``flow`` problems) and diagonal and simplex rows (LP_FILES LP
+problems), whose hashes must agree.  As speed differs between processes, the
+workers restart GENERATIONS times.  Per case it prints and appends the median
+per-pair ratio B/A of in-worker time, its quartiles and 95% CI (a seeded
+bootstrap of generations, then pairs), the pairs in each order, and each
+side's median time and failed calls (counted, never dropped); exits 1 if files differ.
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_paired.json"
 WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
 WRITES = tuple(f"{k}-{f}" for k in ("dense", "diagonal", "simplex") for f in ("csv", "structured"))
-PAIRS = 500
+GENERATIONS = 5
+PAIRS = 100  # per generation
 WARMUP = 3
 SEED = 22
 FLOW_FILES = 8
@@ -46,21 +45,19 @@ BOOTSTRAP = 2000
 
 
 def trajectories(workdir: Path) -> dict:
-    """Per row kind, the (trajectory, extra column) of each problem, integrated
-    as ``flow`` and ``solve-lp`` integrate them."""
+    """Per row kind, each problem's (trajectory, extra column), as the CLI makes them."""
     from perfbench import inputs
     from qisflow import integrate_matrix, integrate_simplex
     from qisflow.problem_io import initial_density, initial_simplex, load_problem
 
     cases = {"dense": [], "diagonal": [], "simplex": []}
     for i in range(FLOW_FILES + LP_FILES):
-        dense = i < FLOW_FILES
         path = workdir / "problem.yaml"
-        path.write_text((inputs.flow_problem(SEED, i) if dense
+        path.write_text((inputs.flow_problem(SEED, i) if i < FLOW_FILES
                          else inputs.lp_problem(SEED, i - FLOW_FILES)).text())
         problem = load_problem(path)
         traj = integrate_matrix(initial_density(problem), problem.c, problem.params)
-        if dense:
+        if i < FLOW_FILES:
             comm = [float(np.linalg.norm(rho @ traj.states[0] - traj.states[0] @ rho))
                     for rho in traj.states]
             cases["dense"].append((traj, ("commutator_norm", comm)))
@@ -80,7 +77,6 @@ def serve(src: str) -> None:
     if Path(qisflow.cli.__file__).resolve() != Path(src, "qisflow", "cli.py").resolve():
         sys.exit(f"paired: imported qisflow from outside {src}")
     from perfbench import machine, run
-
     workloads = run._workloads()
     with tempfile.TemporaryDirectory(prefix="qisflow-paired-") as tmp:
         workdir = Path(tmp)
@@ -88,22 +84,22 @@ def serve(src: str) -> None:
         print(json.dumps(machine.facts()), flush=True)
         for line in sys.stdin:
             case, index = json.loads(line)
+            failed, data, t0 = None, b"", time.perf_counter()
             if case in workloads:
                 seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
                                                  index, workdir)
-                reply = {"s": seconds, "failed": failure and failure.reason}
+                failed = failure and failure.reason
             else:
                 kind, fmt = case.split("-")
                 paths = [workdir / f"{case}-{k}" for k in range(len(cases[kind]))]
-                t0 = time.perf_counter()
                 try:
                     for path, (traj, extra) in zip(paths, cases[kind]):
                         write_trajectory(path, traj, fmt=fmt, extra=extra)
-                    data = b"".join(path.read_bytes() for path in paths)
-                    reply = {"failed": None, "sha256": hashlib.sha256(data).hexdigest()}
                 except Exception as exc:  # a crash is a failed call
-                    reply = {"failed": repr(exc)}
-                reply["s"] = time.perf_counter() - t0
+                    failed = repr(exc)
+                seconds = time.perf_counter() - t0
+                data = b"".join(path.read_bytes() for path in paths if path.exists())
+            reply = {"s": seconds, "failed": failed, "sha256": hashlib.sha256(data).hexdigest()}
             print(json.dumps(reply), flush=True)
 
 
@@ -111,14 +107,12 @@ def start(checkout: Path):
     """A worker on ``checkout``'s ``src/``; returns (call(case, index), facts, process)."""
     # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import paired; paired.serve(sys.argv[2])"
-    proc = subprocess.Popen([sys.executable, "-c", code, str(ROOT / "benchmarks"),
-                             str(checkout / "src")], env=env, stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen([sys.executable, "-c", "import paired, sys; paired.serve(sys.argv[1])",
+                             str(checkout / "src")], cwd=Path(__file__).parent, env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def call(case: str, index: int) -> dict:
-        proc.stdin.write(json.dumps([case, index]) + "\n")
-        proc.stdin.flush()
+        print(json.dumps([case, index]), file=proc.stdin, flush=True)
         return json.loads(proc.stdout.readline())
     return call, json.loads(proc.stdout.readline()), proc
 
@@ -130,45 +124,51 @@ def time_pairs(sides, case: str, pairs: int) -> list:
         sides[index % 2](case, index // 2)
     results = []
     for index in range(pairs):
-        order = in_turn([0, 1], index)
-        replies = {side: sides[side](case, index) for side in order}
-        results.append(("AB" if order[0] == 0 else "BA", replies[0], replies[1]))
+        order = in_turn("AB", index)
+        replies = {side: sides["AB".index(side)](case, index) for side in order}
+        results.append((order, replies["A"], replies["B"]))
     return results
 
 
-def summarize(results: list) -> dict:
-    """The spread of the per-pair ratios B/A, a bootstrap 95% CI of their median,
-    the pairs in each order, each side's median ms and failed calls, and file agreement."""
-    ratios = np.array([b["s"] / a["s"] for _, a, b in results])
-    draws = np.random.default_rng(SEED).integers(0, len(ratios), (BOOTSTRAP, len(ratios)))
-    low, high = np.percentile(np.median(ratios[draws], axis=1), [2.5, 97.5])
+def summarize(generations: list) -> dict:
+    """Over ``time_pairs`` results: the spread of the ratios B/A, a 95% CI of their median
+    (resampling generations, then pairs), the orders, median ms, failures, file agreement."""
+    ratios = np.array([[b["s"] / a["s"] for _, a, b in g] for g in generations])
+    rng = np.random.default_rng(SEED)
+    picked = rng.integers(0, len(ratios), (BOOTSTRAP, len(ratios), 1))
+    draws = ratios[picked, rng.integers(0, ratios.shape[1], (BOOTSTRAP, *ratios.shape))]
+    low, high = np.percentile(np.median(draws, axis=(1, 2)), [2.5, 97.5])
+    results = [r for g in generations for r in g]
     ab = sum(order == "AB" for order, _, _ in results)
-    return {**spread(ratios.tolist()), "ci95": [float(low), float(high)],
+    return {**spread(ratios.ravel().tolist()), "ci95": [float(low), float(high)],
             "pairs": len(results), "ab": ab, "ba": len(results) - ab,
             "ms": [1e3 * float(np.median([r[k]["s"] for r in results])) for k in (1, 2)],
             "failed": [sum(r[k]["failed"] is not None for r in results) for k in (1, 2)],
-            "files_match": all(a.get("sha256") == b.get("sha256") for _, a, b in results)}
+            "files_match": all(a["sha256"] == b["sha256"] for _, a, b in results)}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", action="append", type=Path, required=True,
-                    help="checkout A, then checkout B")
+    ap.add_argument("--checkout", action="append", type=Path, required=True, help="A, then B")
     ap.add_argument("--label", default="", help="free text stored with the entry")
     args = ap.parse_args(argv)
     if len(args.checkout) != 2:
         ap.error("give --checkout twice: A, then B")
-    workers = [start(c.resolve()) for c in args.checkout]
-    cases = {}
-    for case in WORKLOADS + WRITES:
-        s = cases[case] = summarize(time_pairs([w[0] for w in workers], case, PAIRS))
+    runs = {case: [] for case in WORKLOADS + WRITES}
+    for generation in range(GENERATIONS):
+        workers = [start(c.resolve()) for c in args.checkout]
+        for case, generations in runs.items():
+            generations.append(time_pairs([w[0] for w in workers], case, PAIRS))
+        for _, _, proc in workers:
+            proc.communicate()  # end of input: the worker returns
+        print(f"generation {generation + 1} of {GENERATIONS}", file=sys.stderr, flush=True)
+    cases = {case: summarize(generations) for case, generations in runs.items()}
+    for case, s in cases.items():
         print(f"{case}: B/A {s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f}, CI "
               f"{s['ci95'][0]:.4f}-{s['ci95'][1]:.4f}), AB/BA {s['ab']}/{s['ba']}, ms "
               f"{s['ms'][0]:.2f}/{s['ms'][1]:.2f}, failed {s['failed'][0]}/{s['failed'][1]}"
-              + ("" if s["files_match"] else ", FILES DIFFER"), flush=True)
-    for _, _, proc in workers:
-        proc.communicate()  # end of input: the worker returns
-    command = f"benchmarks/paired.py: {PAIRS} ABBA pairs after {WARMUP} warm-up calls, seed {SEED}"
+              + ("" if s["files_match"] else ", FILES DIFFER"))
+    command = f"paired.py: {GENERATIONS} x {PAIRS} ABBA pairs, {WARMUP} warm-up calls, seed {SEED}"
     append(RECORD, [entry(revision(args.checkout[1]), args.label, command, True, workers[0][1],
                           baseline=revision(args.checkout[0]), seed=SEED, cases=cases)])
     return 0 if all(s["files_match"] for s in cases.values()) else 1
