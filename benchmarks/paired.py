@@ -36,7 +36,7 @@ RECORD = ROOT / "BENCH_paired.json"
 WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
 WRITES = tuple(f"{k}-{f}" for k in ("dense", "diagonal", "simplex") for f in ("csv", "structured"))
 GENERATIONS = 5
-PAIRS = 100  # per generation
+PAIRS = 200  # per generation
 WARMUP = 3
 SEED = 22
 FLOW_FILES = 8
