@@ -9,7 +9,7 @@ and B first in odd ones: each perfbench workload (``call_once`` at seed SEED,
 checked by perfbench), and ``write_trajectory``, both formats, of dense rows
 (FLOW_FILES ``flow`` problems) and diagonal and simplex rows (LP_FILES LP
 problems), whose hashes must agree.  As speed differs between processes, the
-workers restart GENERATIONS times.  Per case it prints and appends the median
+workers start afresh GENERATIONS times.  Per case it prints and appends the median
 per-pair ratio B/A of in-worker time, its quartiles and 95% CI (a seeded
 bootstrap of generations, then pairs), the pairs in each order, and each
 side's median time and failed calls (counted, never dropped); exits 1 if files differ.
