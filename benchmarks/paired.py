@@ -39,7 +39,7 @@ GENERATIONS = 5
 PAIRS = 200  # per generation
 WARMUP = 3
 SEED = 22
-FLOW_FILES = 8
+FLOW_FILES = 2
 LP_FILES = 6
 BOOTSTRAP = 2000
 
@@ -70,7 +70,8 @@ def trajectories(workdir: Path) -> dict:
 
 def serve(src: str) -> None:
     """Worker: import qisflow from ``src`` alone, print the machine facts, then
-    answer each ``[case, index]`` line of stdin with one JSON line."""
+    answer each line of stdin with one JSON line: ``[case, index]`` with the time,
+    failure and hash, ``["cli", argv]`` with ``qisflow.cli.main(argv)``'s [code, stdout, stderr]."""
     sys.path[:0] = [str(ROOT), src]
     import qisflow.cli
     from qisflow.problem_io import write_trajectory
@@ -84,6 +85,10 @@ def serve(src: str) -> None:
         print(json.dumps(machine.facts()), flush=True)
         for line in sys.stdin:
             case, index = json.loads(line)
+            if case == "cli":  # parity.py's calls; a crash replies -1 and its traceback
+                result, _, stderr = run.invoke(qisflow.cli.main, index, None)
+                print(json.dumps([result.exit_code, result.stdout, stderr]), flush=True)
+                continue
             failed, data, t0 = None, b"", time.perf_counter()
             if case in workloads:
                 seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
@@ -104,17 +109,25 @@ def serve(src: str) -> None:
 
 
 def start(checkout: Path):
-    """A worker on ``checkout``'s ``src/``; returns (call(case, index), facts, process)."""
+    """A worker on ``checkout``'s ``src/``; returns (call(case, index), facts, process).
+    A worker that ends without a reply stops the script, naming ``checkout`` and the request."""
     # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     proc = subprocess.Popen([sys.executable, "-c", "import paired, sys; paired.serve(sys.argv[1])",
                              str(checkout / "src")], cwd=Path(__file__).parent, env=env,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
-    def call(case: str, index: int) -> dict:
+    def reply(request: str):
+        line = proc.stdout.readline()
+        if not line:
+            proc.communicate()
+            sys.exit(f"paired: the worker on {checkout} exited ({proc.returncode}) {request}")
+        return json.loads(line)
+
+    def call(case: str, index):
         print(json.dumps([case, index]), file=proc.stdin, flush=True)
-        return json.loads(proc.stdout.readline())
-    return call, json.loads(proc.stdout.readline()), proc
+        return reply(f"on {case} {index}")
+    return call, reply("before it started"), proc
 
 
 def time_pairs(sides, case: str, pairs: int) -> list:

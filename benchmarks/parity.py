@@ -6,7 +6,7 @@ Usage, from anywhere:
 
 For each benchmark seed in SEEDS it writes the problem files of
 ``perfbench.inputs`` (taken from the checkout this script lives in) once, then
-runs every call with each checkout's own ``src/`` in its own process:
+sends every call to ``paired.py``'s worker on each checkout, both at once:
 
 - LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``,
   and the first STRUCTURED_LP_PROBLEMS of them with both again in
@@ -48,17 +48,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
-import subprocess
 import sys
 import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+import paired
+
 SEEDS = (3, 7)
 LP_PROBLEMS = 60
 STRUCTURED_LP_PROBLEMS = 10
@@ -81,25 +80,6 @@ COST_SCALES = (100, 1000)
 REAL_MATRIX_PROBLEMS = 10
 REAL_T_MAX = 0.2
 
-# Runs each argv of the JSON list read from stdin through qisflow.cli.main in
-# this one process and prints a JSON list of [exit code, stdout, stderr] back.
-WORKER = """
-import contextlib, io, json, sys
-from qisflow.cli import main
-
-results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    results.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
-"""
-
-
 def with_init(text: str, init: str) -> str:
     """A problem's text with the YAML lines ``init`` in place of its init."""
     head, _, rest = text.partition("init:\n")
@@ -110,7 +90,7 @@ def with_init(text: str, init: str) -> str:
 def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     """Problem files under ``workdir``; returns (kind, argv, output name or None)
     per call, with {out} standing for the checkout's output directory."""
-    sys.path.insert(0, str(ROOT))
+    sys.path.insert(0, str(paired.ROOT))
     from perfbench import inputs
 
     calls = []
@@ -190,18 +170,11 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     return calls
 
 
-def start(checkout: Path, calls, outdir: Path) -> subprocess.Popen:
-    """Start the worker for one checkout on ``calls``, writing into ``outdir``."""
+def run(worker, calls, outdir: Path) -> list:
+    """Each call's [exit code, stdout, stderr] from a ``paired.start`` worker, into ``outdir``."""
     outdir.mkdir()
-    jobs = [[a.replace("{out}", str(outdir)) for a in argv] for _, argv, _ in calls]
-    # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
-    env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
-    env["PYTHONPATH"] = str(checkout / "src")
-    proc = subprocess.Popen([sys.executable, "-c", WORKER], cwd=outdir, env=env,
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-    proc.stdin.write(json.dumps(jobs))
-    proc.stdin.close()
-    return proc
+    return [worker[0]("cli", [a.replace("{out}", str(outdir)) for a in argv])
+            for _, argv, _ in calls]
 
 
 def verify_lines(stdout: str) -> list[tuple[str, str, str, str]]:
@@ -258,15 +231,11 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         calls = write_calls(workdir)
         outdirs = [workdir / f"out{k}" for k in range(2)]
-        procs = [start(c, calls, d) for c, d in zip(checkouts, outdirs)]
-        results = []
-        for checkout, proc in zip(checkouts, procs):
-            out = proc.stdout.read()
-            if proc.wait() != 0:
-                print(f"{checkout}: worker failed with exit code {proc.returncode}",
-                      file=sys.stderr)
-                return 1
-            results.append(json.loads(out))
+        with ThreadPoolExecutor(2) as pool:
+            workers = list(pool.map(paired.start, checkouts))
+            results = list(pool.map(run, workers, [calls] * 2, outdirs))
+        for _, _, proc in workers:
+            proc.communicate()  # end of input: the worker returns
         failures, changes = compare(calls, results, outdirs)
 
     kinds = Counter(kind for kind, _, _ in calls)

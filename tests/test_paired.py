@@ -1,9 +1,14 @@
-"""The pure parts of ``benchmarks/paired.py``: pair order and the summary."""
+"""``benchmarks/paired.py``: pair order and the summary, then the worker, which
+each of the last tests starts once as a subprocess."""
 
+import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import paired  # noqa: E402
 
@@ -66,3 +71,38 @@ def test_ci_spans_the_spread_between_generations():
     s = paired.summarize(generations)
     assert s["median"] == 1.0
     assert s["ci95"][0] < 0.99 and s["ci95"][1] > 1.01
+
+
+def worker_replies(*requests):
+    """A worker on this checkout: its replies to ``requests``, each (case, index)."""
+    call, _, proc = paired.start(ROOT)
+    try:
+        return [call(*request) for request in requests]
+    finally:
+        proc.communicate(timeout=60)
+
+
+def test_worker_runs_cli_calls():
+    [(code, stdout, stderr)] = worker_replies(
+        ("cli", ["verify", "all", "--seed", "0", "--count", "1"]))
+    assert code == 0 and stderr == ""
+    assert len(stdout.splitlines()) == 7 and stdout.count(" pass\n") == 7
+
+
+def test_worker_reports_a_usage_error_as_exit_1():
+    [(code, stdout, stderr)] = worker_replies(("cli", ["verify"]))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("usage: qisflow verify") and "required: suite" in stderr
+
+
+def test_worker_that_dies_mid_run_names_the_checkout_and_the_request():
+    # a case that is neither a workload nor a write kind crashes the worker
+    with pytest.raises(SystemExit, match=re.escape(f"{ROOT} exited (1) on nope 0")):
+        worker_replies(("cli", ["verify", "--help"]), ("nope", 0))
+
+
+def test_worker_refuses_a_checkout_whose_src_does_not_hold_qisflow(tmp_path, monkeypatch):
+    # this checkout's src on PYTHONPATH stands in for an installed copy
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    with pytest.raises(SystemExit, match=re.escape(f"{tmp_path} exited (1) before it started")):
+        paired.start(tmp_path)
