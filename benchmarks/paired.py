@@ -18,6 +18,7 @@ side's median time and failed calls (counted, never dropped); exits 1 if files d
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -80,8 +81,7 @@ def serve(src: str) -> None:
     from perfbench import machine, run
     workloads = run._workloads()
     with tempfile.TemporaryDirectory(prefix="qisflow-paired-") as tmp:
-        workdir = Path(tmp)
-        cases = trajectories(workdir)
+        workdir, cases = Path(tmp), None
         print(json.dumps(machine.facts()), flush=True)
         for line in sys.stdin:
             case, index = json.loads(line)
@@ -89,14 +89,16 @@ def serve(src: str) -> None:
                 result, _, stderr = run.invoke(qisflow.cli.main, index, None)
                 print(json.dumps([result.exit_code, result.stdout, stderr]), flush=True)
                 continue
-            failed, data, t0 = None, b"", time.perf_counter()
+            failed, data = None, b""
             if case in workloads:
                 seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
                                                  index, workdir)
                 failed = failure and failure.reason
             else:
                 kind, fmt = case.split("-")
+                cases = cases or trajectories(workdir)  # on the first write request, untimed
                 paths = [workdir / f"{case}-{k}" for k in range(len(cases[kind]))]
+                t0 = time.perf_counter()
                 try:
                     for path, (traj, extra) in zip(paths, cases[kind]):
                         write_trajectory(path, traj, fmt=fmt, extra=extra)
@@ -109,8 +111,9 @@ def serve(src: str) -> None:
 
 
 def start(checkout: Path):
-    """A worker on ``checkout``'s ``src/``; returns (call(case, index), facts, process).
-    A worker that ends without a reply stops the script, naming ``checkout`` and the request."""
+    """A worker on ``checkout``'s ``src/``; returns (send(case, index), facts, process),
+    ``send`` returning a ``wait()`` for that reply; wait in the order sent.  A worker
+    that ends without a reply stops the script, naming ``checkout`` and the request."""
     # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     proc = subprocess.Popen([sys.executable, "-c", "import paired, sys; paired.serve(sys.argv[1])",
@@ -124,10 +127,10 @@ def start(checkout: Path):
             sys.exit(f"paired: the worker on {checkout} exited ({proc.returncode}) {request}")
         return json.loads(line)
 
-    def call(case: str, index):
+    def send(case: str, index):
         print(json.dumps([case, index]), file=proc.stdin, flush=True)
-        return reply(f"on {case} {index}")
-    return call, reply("before it started"), proc
+        return functools.partial(reply, f"on {case} {index}")
+    return send, reply("before it started"), proc
 
 
 def time_pairs(sides, case: str, pairs: int) -> list:
@@ -170,8 +173,9 @@ def main(argv=None) -> int:
     runs = {case: [] for case in WORKLOADS + WRITES}
     for generation in range(GENERATIONS):
         workers = [start(c.resolve()) for c in args.checkout]
+        sides = [lambda case, index, send=w[0]: send(case, index)() for w in workers]
         for case, generations in runs.items():
-            generations.append(time_pairs([w[0] for w in workers], case, PAIRS))
+            generations.append(time_pairs(sides, case, PAIRS))
         for _, _, proc in workers:
             proc.communicate()  # end of input: the worker returns
         print(f"generation {generation + 1} of {GENERATIONS}", file=sys.stderr, flush=True)

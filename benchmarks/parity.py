@@ -6,7 +6,7 @@ Usage, from anywhere:
 
 For each benchmark seed in SEEDS it writes the problem files of
 ``perfbench.inputs`` (taken from the checkout this script lives in) once, then
-sends every call to ``paired.py``'s worker on each checkout, both at once:
+sends each call to ``paired.py``'s worker on both checkouts before it reads either reply:
 
 - LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``,
   and the first STRUCTURED_LP_PROBLEMS of them with both again in
@@ -41,7 +41,8 @@ bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
 code, number of lines and each line's label, tolerance and pass/FAIL; each
 of these that differs is reported on its own line.  Changes in ``max_error``
 are listed but do not fail.
-Exits 0 when the checkouts agree, 1 otherwise.
+Exits 0 when the checkouts agree, 1 otherwise; a worker that dies stops the
+run on that call, with a message naming its checkout and the call.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import dataclasses
 import sys
 import tempfile
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +170,6 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     return calls
 
 
-def run(worker, calls, outdir: Path) -> list:
-    """Each call's [exit code, stdout, stderr] from a ``paired.start`` worker, into ``outdir``."""
-    outdir.mkdir()
-    return [worker[0]("cli", [a.replace("{out}", str(outdir)) for a in argv])
-            for _, argv, _ in calls]
-
-
 def verify_lines(stdout: str) -> list[tuple[str, str, str, str]]:
     """(label, max_error, tolerance, status) per line of ``verify`` output."""
     rows = []
@@ -189,9 +182,9 @@ def verify_lines(stdout: str) -> list[tuple[str, str, str, str]]:
 
 
 def compare(calls, results, outdirs) -> tuple[list[str], list[str]]:
-    """(differences that fail, max_error changes) between the two checkouts."""
+    """(differences that fail, max_error changes) between the checkouts' replies to each call."""
     failures, changes = [], []
-    for (kind, argv, name), (a, b) in zip(calls, zip(*results)):
+    for (kind, argv, name), (a, b) in zip(calls, results):
         what = " ".join(argv if kind == "verify" else
                         [argv[0], Path(argv[1]).name, *argv[4:]])
         if a[0] != b[0]:
@@ -231,9 +224,13 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         calls = write_calls(workdir)
         outdirs = [workdir / f"out{k}" for k in range(2)]
-        with ThreadPoolExecutor(2) as pool:
-            workers = list(pool.map(paired.start, checkouts))
-            results = list(pool.map(run, workers, [calls] * 2, outdirs))
+        workers, results = [paired.start(c) for c in checkouts], []
+        for outdir in outdirs:
+            outdir.mkdir()
+        for _, argv, _ in calls:  # both workers get the call before either reply is read
+            waits = [send("cli", [a.replace("{out}", str(outdir)) for a in argv])
+                     for (send, _, _), outdir in zip(workers, outdirs)]
+            results.append([wait() for wait in waits])
         for _, _, proc in workers:
             proc.communicate()  # end of input: the worker returns
         failures, changes = compare(calls, results, outdirs)
@@ -241,8 +238,7 @@ def main(argv=None) -> int:
     kinds = Counter(kind for kind, _, _ in calls)
     print(f"{checkouts[0]} -> {checkouts[1]}: "
           + ", ".join(f"{n} {k} calls" for k, n in kinds.items()))
-    codes = Counter(f"{kind} exit {result[0]}"
-                    for (kind, _, _), result in zip(calls, results[1]))
+    codes = Counter(f"{kind} exit {b[0]}" for (kind, _, _), (_, b) in zip(calls, results))
     print("exit codes: " + ", ".join(f"{n} {k}" for k, n in sorted(codes.items())))
     for line in changes:
         print(f"changed {line}")

@@ -21,7 +21,11 @@ checkout's run on each seed, the median and quartiles of those ratios, and
 on how many seeds it was the better of the two (by the metric's "better" in
 ``BENCHMARK.json``).  A pair of runs on one seed shares the machine's state,
 so the ratios show a change that drift between seeds hides in the medians;
-they are printed too.
+they are printed too.  Each such metric also gets two ``verdicts``, stored
+and printed: ``gain_met``, when the checkout was better on at least nine
+tenths of the seeds and its median is ahead of the first checkout's by more
+than the first's quartile spread, and ``within_bound``, when its median is not
+behind the first checkout's by more than the metric's ``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations
@@ -122,6 +126,17 @@ def ratio_to_first(first: dict, later: dict, better: str) -> dict:
     return {**spread(ratios), "better_on": wins}
 
 
+def verdicts(first: dict, later: dict, better: str, bound: float) -> dict:
+    """``gain_met``: ``later`` was better on at least nine tenths of the seeds, and its
+    median is ahead of ``first``'s by more than ``first``'s quartile spread (q3 - q1);
+    ``within_bound``: its median is not behind ``first``'s by more than ``bound`` times
+    ``first``'s, ``bound`` being the metric's in ``BENCHMARK.json``."""
+    ahead = (later["median"] - first["median"]) * (1 if better == "higher" else -1)
+    wins = ratio_to_first(first, later, better)["better_on"]
+    return {"gain_met": wins >= 0.9 * len(first["runs"]) and ahead > first["q3"] - first["q1"],
+            "within_bound": -ahead <= bound * abs(first["median"])}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
@@ -144,17 +159,21 @@ def main(argv=None) -> int:
                       file=sys.stderr)
 
     summaries = {c: {w: summarize(runs[c, w]) for w in WORKLOADS} for c in checkouts}
-    better = {metric["name"]: metric["better"] for metric in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = {metric["name"]: metric for metric in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     first = summaries[checkouts[0]]
     for checkout in checkouts[1:]:
         for workload, summary in summaries[checkout].items():
             for name, metric in summary["metrics"].items():
-                pairs = metric["ratio_to_first"] = ratio_to_first(
-                    first[workload]["metrics"][name], metric, better[name])
+                better, bound = declared[name]["better"], declared[name]["bound"]
+                base = first[workload]["metrics"][name]
+                pairs = metric["ratio_to_first"] = ratio_to_first(base, metric, better)
+                verdict = metric["verdicts"] = verdicts(base, metric, better, bound)
                 print(f"{checkout.name} {workload} {name}: ratio to {checkouts[0].name} "
                       f"{pairs['median']:.3f} (quartiles {pairs['q1']:.3f}-{pairs['q3']:.3f}), "
-                      f"better on {pairs['better_on']} of {len(seeds)} seeds")
+                      f"better on {pairs['better_on']} of {len(seeds)} seeds; gain "
+                      f"{'met' if verdict['gain_met'] else 'not met'}, "
+                      f"{'within' if verdict['within_bound'] else 'OUTSIDE'} bound {bound}")
 
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
     append(RECORD, [

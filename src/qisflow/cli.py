@@ -162,11 +162,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        _discard_output(args)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
     except (QisflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
+    _discard_output(args)
+    return code
 
 
 if __name__ == "__main__":

@@ -825,6 +825,23 @@ class TestExitCodes:
         assert main([*command, prob, "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    @pytest.mark.parametrize("problem, reason", [
+        ({"m": 3, "c": [1.0, -2.0]}, "field 'c' has 2 entries, expected m=3"),
+        (None, "No such file or directory"),
+    ], ids=["c-length", "missing-file"])
+    def test_validation_failure_leaves_no_file(self, tmp_path, capsys, command, problem, reason):
+        """A run that exits 1 removes an earlier run's trajectory at -o, as one that exits 2 does."""
+        prob = tmp_path / "p.yaml"
+        if problem is not None:
+            write_problem(prob, problem)
+        out = tmp_path / "t.csv"
+        out.write_text("an earlier run's trajectory\n")
+        assert main([command[0], str(prob), "-o", str(out), *command[1:]]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOneParser:
     """``main`` parses with one parser per process; calls in a row must behave

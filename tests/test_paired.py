@@ -1,6 +1,8 @@
 """``benchmarks/paired.py``: pair order and the summary, then the worker, which
 each of the last tests starts once as a subprocess."""
 
+import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -73,11 +75,30 @@ def test_ci_spans_the_spread_between_generations():
     assert s["ci95"][0] < 0.99 and s["ci95"][1] > 1.01
 
 
+def test_worker_integrates_the_write_cases_on_the_first_write_request(monkeypatch, capsys):
+    """``serve`` in this process: a ``cli`` request does not build the write cases'
+    trajectories; the first write request does, once (here the stand-in fails)."""
+    built = []
+
+    def trajectories(workdir):
+        built.append(workdir)
+        raise RuntimeError("trajectories built")
+    monkeypatch.setattr(paired, "trajectories", trajectories)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '["cli", ["verify"]]\n["dense-csv", 0]\n["dense-csv", 1]\n'))
+    with pytest.raises(RuntimeError, match="trajectories built"):
+        paired.serve(str(ROOT / "src"))
+    facts, reply = map(json.loads, capsys.readouterr().out.splitlines())
+    assert "numpy" in facts and reply[0] == 1 and "required: suite" in reply[2]
+    assert len(built) == 1
+
+
 def worker_replies(*requests):
     """A worker on this checkout: its replies to ``requests``, each (case, index)."""
-    call, _, proc = paired.start(ROOT)
+    send, _, proc = paired.start(ROOT)
     try:
-        return [call(*request) for request in requests]
+        return [send(*request)() for request in requests]
     finally:
         proc.communicate(timeout=60)
 

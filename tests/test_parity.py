@@ -1,6 +1,8 @@
-"""The pure parts of ``benchmarks/parity.py``: what ``compare`` counts as a
-difference between two checkouts' replies, and what it only lists."""
+"""``benchmarks/parity.py`` without real workers: what ``compare`` counts as a
+difference between two checkouts' replies, what it only lists, and how the
+calls go to two fake workers in lockstep."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -25,7 +27,7 @@ def compare(tmp_path, call, a, b, files=SAME):
         outdir.mkdir()
         if call[2] and text is not None:
             (outdir / call[2]).write_text(text)
-    return parity.compare([call], [[a], [b]], outdirs)
+    return parity.compare([call], [[a, b]], outdirs)
 
 
 def verify_reply(lines):
@@ -74,3 +76,41 @@ def test_changed_max_error_is_only_listed(tmp_path):
     assert failures == []
     assert changes == [
         "verify all --seed 3 qf_equals_4r_relative: max_error 1.324e-16 -> 2.648e-16"]
+
+
+def fake_worker(checkout, log, dies_at=None):
+    """A ``paired.start`` stand-in that logs its sends and waits in ``log`` and, at
+    call ``dies_at``, stops the script as ``paired`` does for a dead worker."""
+    sent = []
+
+    def send(case, argv):
+        k = len(sent)
+        sent.append(argv)
+        log.append(("send", checkout.name, k))
+
+        def wait():
+            log.append(("wait", checkout.name, k))
+            if k == dies_at:
+                sys.exit(f"paired: the worker on {checkout} exited (7) on {case} {argv}")
+            return [0, "", ""]
+        return wait
+    return send, {}, None
+
+
+@pytest.mark.parametrize("dead", ["a", "b"])
+def test_a_dead_worker_stops_the_run_on_its_call(tmp_path, monkeypatch, dead):
+    """Each call goes to both workers before either reply is read, and the run
+    stops on the call a worker died on: the other was sent calls 0 to k only."""
+    k, log = 4, []
+    calls = [("verify", ["verify", "all", "--seed", str(i)], None) for i in range(10)]
+    monkeypatch.setattr(parity, "write_calls", lambda workdir: calls)
+    monkeypatch.setattr(parity.paired, "start", lambda checkout: fake_worker(
+        checkout, log, k if checkout.name == dead else None))
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{tmp_path / dead} exited (7) on cli {calls[k][1]}")):
+        parity.main([str(tmp_path / "a"), str(tmp_path / "b")])
+    sends = [(side, i) for event, side, i in log if event == "send"]
+    assert sends == [(side, i) for i in range(k + 1) for side in "ab"]
+    for i in range(k + 1):  # both sends of a call come before either of its waits
+        events = [event for event, _, j in log if j == i]
+        assert events[:2] == ["send", "send"] and set(events[2:]) == {"wait"}
