@@ -143,13 +143,13 @@ def cmd_verify(args) -> int:
 
 def _discard_output(args) -> None:
     """Remove the file at -o, so that a failed run leaves no earlier run's
-    trajectory behind."""
+    trajectory behind; a directory there holds none and stays."""
     path = getattr(args, "output", None)
     if path is None:
         return
     try:
         os.remove(path)
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         pass
     except OSError as exc:
         print(f"error: could not remove {path}: {exc}", file=sys.stderr)

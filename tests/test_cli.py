@@ -842,6 +842,14 @@ class TestExitCodes:
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_directory_fails_with_one_error_and_stays(self, tmp_path, capsys):
+        prob = write_problem(tmp_path / "p.yaml", {"m": 3, "c": [1.0, -2.0, 3.0]})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["solve-lp", prob, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert out.is_dir()
+
 
 class TestOneParser:
     """``main`` parses with one parser per process; calls in a row must behave
