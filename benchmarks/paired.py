@@ -18,6 +18,7 @@ side's median time and failed calls (counted, never dropped); exits 1 if files d
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -128,7 +129,8 @@ def start(checkout: Path):
         return json.loads(line)
 
     def send(case: str, index):
-        print(json.dumps([case, index]), file=proc.stdin, flush=True)
+        with contextlib.suppress(BrokenPipeError):  # a worker that ended: its wait says so
+            print(json.dumps([case, index]), file=proc.stdin, flush=True)
         return functools.partial(reply, f"on {case} {index}")
     return send, reply("before it started"), proc
 

@@ -1,12 +1,11 @@
 """Compare the CLI output of two checkouts on the perfbench inputs.
 
-Usage, from anywhere:
-
-    python3 benchmarks/parity.py PARENT CHANGE
+Usage, from anywhere: python3 benchmarks/parity.py PARENT CHANGE
 
 For each benchmark seed in SEEDS it writes the problem files of
 ``perfbench.inputs`` (taken from the checkout this script lives in) once, then
-sends each call to ``paired.py``'s worker on both checkouts before it reads either reply:
+sends each call to ``paired.py``'s worker on both checkouts before it reads
+either reply to the call before it, so the workers run at once, at most one call apart:
 
 - LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``,
   and the first STRUCTURED_LP_PROBLEMS of them with both again in
@@ -17,8 +16,7 @@ sends each call to ``paired.py``'s worker on both checkouts before it reads eith
 and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
 the costs of the first LP problems of the first seed, each with ``solve-lp``
 and ``solve-lp --simplex``, and those of its first flow problems with ``flow``,
-the first SEED_FLAG_PROBLEMS of each kind again with a ``--seed`` that differs
-from the file's (it replaces the file's seed);
+the first SEED_FLAG_PROBLEMS of each kind again with a ``--seed`` that replaces the file's;
 the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
 (``init`` left out, so the barycenter) and the same calls; the START_STOPS
 problems, which stop at t=0 (an init below ``boundary_floor``, a constant
@@ -49,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 import tempfile
 from collections import Counter
@@ -221,18 +220,17 @@ def main(argv=None) -> int:
                     help="the parent checkout, then the changed one")
     checkouts = [c.resolve() for c in ap.parse_args(argv).checkouts]
     with tempfile.TemporaryDirectory(prefix="qisflow-parity-") as tmp:
-        workdir = Path(tmp)
-        calls = write_calls(workdir)
-        outdirs = [workdir / f"out{k}" for k in range(2)]
+        calls = write_calls(Path(tmp))
+        outdirs = [Path(tempfile.mkdtemp(prefix="out", dir=tmp)) for _ in checkouts]
         workers, results = [paired.start(c) for c in checkouts], []
-        for outdir in outdirs:
-            outdir.mkdir()
-        for _, argv, _ in calls:  # both workers get the call before either reply is read
-            waits = [send("cli", [a.replace("{out}", str(outdir)) for a in argv])
-                     for (send, _, _), outdir in zip(workers, outdirs)]
-            results.append([wait() for wait in waits])
-        for _, _, proc in workers:
-            proc.communicate()  # end of input: the worker returns
+        sent = ([send("cli", [a.replace("{out}", str(outdir)) for a in argv])
+                 for (send, _, _), outdir in zip(workers, outdirs)] for _, argv, _ in calls)
+        try:  # pairwise sends call i + 1 to both workers before a reply to call i is read
+            for waits, _ in itertools.pairwise(itertools.chain(sent, [None])):
+                results.append([wait() for wait in waits])
+        finally:
+            for _, _, proc in workers:
+                proc.communicate()  # end of input: the worker returns after its call
         failures, changes = compare(calls, results, outdirs)
 
     kinds = Counter(kind for kind, _, _ in calls)

@@ -126,14 +126,14 @@ def ratio_to_first(first: dict, later: dict, better: str) -> dict:
     return {**spread(ratios), "better_on": wins}
 
 
-def verdicts(first: dict, later: dict, better: str, bound: float) -> dict:
-    """``gain_met``: ``later`` was better on at least nine tenths of the seeds, and its
-    median is ahead of ``first``'s by more than ``first``'s quartile spread (q3 - q1);
-    ``within_bound``: its median is not behind ``first``'s by more than ``bound`` times
-    ``first``'s, ``bound`` being the metric's in ``BENCHMARK.json``."""
+def verdicts(first: dict, later: dict, better_on: int, better: str, bound: float) -> dict:
+    """``gain_met``: ``later`` was better on ``better_on``, at least nine tenths, of the
+    seeds, and its median is ahead of ``first``'s by more than ``first``'s quartile spread
+    (q3 - q1); ``within_bound``: its median is not behind ``first``'s by more than
+    ``bound`` times ``first``'s, ``bound`` being the metric's in ``BENCHMARK.json``."""
     ahead = (later["median"] - first["median"]) * (1 if better == "higher" else -1)
-    wins = ratio_to_first(first, later, better)["better_on"]
-    return {"gain_met": wins >= 0.9 * len(first["runs"]) and ahead > first["q3"] - first["q1"],
+    enough = better_on >= 0.9 * len(first["runs"])
+    return {"gain_met": enough and ahead > first["q3"] - first["q1"],
             "within_bound": -ahead <= bound * abs(first["median"])}
 
 
@@ -168,7 +168,8 @@ def main(argv=None) -> int:
                 better, bound = declared[name]["better"], declared[name]["bound"]
                 base = first[workload]["metrics"][name]
                 pairs = metric["ratio_to_first"] = ratio_to_first(base, metric, better)
-                verdict = metric["verdicts"] = verdicts(base, metric, better, bound)
+                verdict = metric["verdicts"] = verdicts(base, metric, pairs["better_on"],
+                                                        better, bound)
                 print(f"{checkout.name} {workload} {name}: ratio to {checkouts[0].name} "
                       f"{pairs['median']:.3f} (quartiles {pairs['q1']:.3f}-{pairs['q3']:.3f}), "
                       f"better on {pairs['better_on']} of {len(seeds)} seeds; gain "

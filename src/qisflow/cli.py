@@ -141,18 +141,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _discard_output(args) -> None:
+def _discard_output(args, exc: Exception) -> None:
     """Remove the file at -o, so that a failed run leaves no earlier run's
-    trajectory behind; a directory there holds none and stays."""
+    trajectory behind.  A run that could not open -o wrote nothing there, and
+    an -o that names the problem file holds no trajectory: both stay."""
     path = getattr(args, "output", None)
-    if path is None:
+    if path is None or getattr(exc, "filename", None) == path:
         return
     try:
+        if os.path.exists(args.problem) and os.path.samefile(path, args.problem):
+            return
         os.remove(path)
-    except (FileNotFoundError, IsADirectoryError):
+    except FileNotFoundError:
         pass
-    except OSError as exc:
-        print(f"error: could not remove {path}: {exc}", file=sys.stderr)
+    except OSError as err:
+        print(f"error: could not remove {path}: {err}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -162,12 +165,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        code = EXIT_NUMERIC
+        _discard_output(args, exc)
+        return EXIT_NUMERIC
     except (QisflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
-    _discard_output(args)
-    return code
+        _discard_output(args, exc)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

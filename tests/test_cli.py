@@ -850,6 +850,33 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
         assert out.is_dir()
 
+    def test_output_that_cannot_be_opened_stays(self, tmp_path, capsys, monkeypatch):
+        """A read-only file at -o: the writer's open fails on -o itself, which keeps
+        the file (the failure is raised as a non-root user's ``open`` raises it)."""
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "write_trajectory", refuse)
+        prob = write_problem(tmp_path / "p.yaml", {"m": 3, "c": [1.0, -2.0, 3.0]})
+        out = tmp_path / "t.csv"
+        out.write_text("a read-only trajectory\n")
+        out.chmod(0o444)
+        assert main(["solve-lp", prob, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+        assert out.read_text() == "a read-only trajectory\n"
+
+    @pytest.mark.parametrize("doc, code", [
+        ({"m": 3, "c": [1.0, -2.0]}, 1),
+        ({"m": 4, "c": [3000, -1000, -1500, 2000]}, 2),
+    ], ids=["c-length", "overshoot"])
+    def test_output_at_the_problem_file_keeps_it(self, tmp_path, capsys, doc, code):
+        """-o naming the problem file, by another spelling of its path: a failed
+        run leaves the problem file as it was."""
+        prob = write_problem(tmp_path / "p.yaml", doc)
+        text = (tmp_path / "p.yaml").read_text()
+        assert main(["solve-lp", prob, "-o", str(tmp_path / "." / "p.yaml")]) == code
+        assert (tmp_path / "p.yaml").read_text() == text
+
 
 class TestOneParser:
     """``main`` parses with one parser per process; calls in a row must behave

@@ -122,6 +122,16 @@ def test_worker_that_dies_mid_run_names_the_checkout_and_the_request():
         worker_replies(("cli", ["verify", "--help"]), ("nope", 0))
 
 
+def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait():
+    send, _, proc = paired.start(ROOT)
+    send("nope", 0)  # neither a workload nor a write kind: the worker crashes
+    proc.wait(timeout=60)
+    wait = send("cli", ["verify", "--help"])  # the closed pipe raises nothing here
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{ROOT} exited (1) on cli ['verify', '--help']")):
+        wait()
+
+
 def test_worker_refuses_a_checkout_whose_src_does_not_hold_qisflow(tmp_path, monkeypatch):
     # this checkout's src on PYTHONPATH stands in for an installed copy
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))

@@ -1,6 +1,6 @@
 """``benchmarks/parity.py`` without real workers: what ``compare`` counts as a
 difference between two checkouts' replies, what it only lists, and how the
-calls go to two fake workers in lockstep."""
+calls go to two fake workers, one call ahead of the replies."""
 
 import re
 import sys
@@ -78,9 +78,19 @@ def test_changed_max_error_is_only_listed(tmp_path):
         "verify all --seed 3 qf_equals_4r_relative: max_error 1.324e-16 -> 2.648e-16"]
 
 
+class FakeProcess:
+    """What ``parity.main`` uses of a worker's process: ``communicate`` ends it."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def communicate(self):
+        self.log.append(("end", self.name, None))
+
+
 def fake_worker(checkout, log, dies_at=None):
-    """A ``paired.start`` stand-in that logs its sends and waits in ``log`` and, at
-    call ``dies_at``, stops the script as ``paired`` does for a dead worker."""
+    """A ``paired.start`` stand-in that logs its sends, waits and end in ``log`` and,
+    at call ``dies_at``, stops the script as ``paired`` does for a dead worker."""
     sent = []
 
     def send(case, argv):
@@ -94,13 +104,14 @@ def fake_worker(checkout, log, dies_at=None):
                 sys.exit(f"paired: the worker on {checkout} exited (7) on {case} {argv}")
             return [0, "", ""]
         return wait
-    return send, {}, None
+    return send, {}, FakeProcess(checkout.name, log)
 
 
 @pytest.mark.parametrize("dead", ["a", "b"])
 def test_a_dead_worker_stops_the_run_on_its_call(tmp_path, monkeypatch, dead):
-    """Each call goes to both workers before either reply is read, and the run
-    stops on the call a worker died on: the other was sent calls 0 to k only."""
+    """Call i + 1 goes to both workers before either reply to call i is read, and
+    the run stops on the call k a worker died on: neither was sent more than calls
+    0 to k + 1, and both are ended before the script stops."""
     k, log = 4, []
     calls = [("verify", ["verify", "all", "--seed", str(i)], None) for i in range(10)]
     monkeypatch.setattr(parity, "write_calls", lambda workdir: calls)
@@ -110,7 +121,21 @@ def test_a_dead_worker_stops_the_run_on_its_call(tmp_path, monkeypatch, dead):
             f"{tmp_path / dead} exited (7) on cli {calls[k][1]}")):
         parity.main([str(tmp_path / "a"), str(tmp_path / "b")])
     sends = [(side, i) for event, side, i in log if event == "send"]
-    assert sends == [(side, i) for i in range(k + 1) for side in "ab"]
-    for i in range(k + 1):  # both sends of a call come before either of its waits
-        events = [event for event, _, j in log if j == i]
-        assert events[:2] == ["send", "send"] and set(events[2:]) == {"wait"}
+    assert sends == [(side, i) for i in range(k + 2) for side in "ab"]
+    for i in range(k + 1):  # both sends of call i + 1 come before any wait of call i
+        waits = [n for n, (event, _, j) in enumerate(log) if event == "wait" and j == i]
+        assert max(n for n, (event, _, j) in enumerate(log)
+                   if event == "send" and j == i + 1) < min(waits)
+    assert [(event, side) for event, side, _ in log[-2:]] == [("end", "a"), ("end", "b")]
+
+
+def test_every_call_is_waited_for_once_in_order(tmp_path, monkeypatch):
+    """With no dead worker, each worker's waits follow its sends one call behind,
+    and each call's two replies are compared."""
+    log, calls = [], [("verify", ["verify", "all", "--seed", str(i)], None) for i in range(3)]
+    monkeypatch.setattr(parity, "write_calls", lambda workdir: calls)
+    monkeypatch.setattr(parity.paired, "start", lambda checkout: fake_worker(checkout, log))
+    assert parity.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert [(event, i) for event, side, i in log if side == "a"] == [
+        ("send", 0), ("send", 1), ("wait", 0), ("send", 2), ("wait", 1), ("wait", 2),
+        ("end", None)]

@@ -16,7 +16,9 @@ FIRST = [9.0, 9.4, 9.6, 9.8, 10.0, 10.0, 10.2, 10.4, 10.6, 11.0]
 
 
 def verdicts(later, first=FIRST, better="higher", bound=0.24):
-    return record.verdicts(record.spread(first), record.spread(later), better, bound)
+    first, later = record.spread(first), record.spread(later)
+    pairs = record.ratio_to_first(first, later, better)
+    return record.verdicts(first, later, pairs["better_on"], better, bound)
 
 
 def test_the_hand_built_spread():
