@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -70,10 +71,11 @@ def trajectories(workdir: Path) -> dict:
     return cases
 
 
-def serve(src: str) -> None:
+def serve(src: str, workdir: str) -> None:
     """Worker: import qisflow from ``src`` alone, print the machine facts, then
     answer each line of stdin with one JSON line: ``[case, index]`` with the time,
-    failure and hash, ``["cli", argv]`` with ``qisflow.cli.main(argv)``'s [code, stdout, stderr]."""
+    failure and hash, ``["cli", argv]`` with ``qisflow.cli.main(argv)``'s [code, stdout, stderr].
+    Its files go in ``workdir``."""
     sys.path[:0] = [str(ROOT), src]
     import qisflow.cli
     from qisflow.problem_io import write_trajectory
@@ -81,45 +83,59 @@ def serve(src: str) -> None:
         sys.exit(f"paired: imported qisflow from outside {src}")
     from perfbench import machine, run
     workloads = run._workloads()
-    with tempfile.TemporaryDirectory(prefix="qisflow-paired-") as tmp:
-        workdir, cases = Path(tmp), None
-        print(json.dumps(machine.facts()), flush=True)
-        for line in sys.stdin:
-            case, index = json.loads(line)
-            if case == "cli":  # parity.py's calls; a crash replies -1 and its traceback
-                result, _, stderr = run.invoke(qisflow.cli.main, index, None)
-                print(json.dumps([result.exit_code, result.stdout, stderr]), flush=True)
-                continue
-            failed, data = None, b""
-            if case in workloads:
-                seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
-                                                 index, workdir)
-                failed = failure and failure.reason
-            else:
-                kind, fmt = case.split("-")
-                cases = cases or trajectories(workdir)  # on the first write request, untimed
-                paths = [workdir / f"{case}-{k}" for k in range(len(cases[kind]))]
-                t0 = time.perf_counter()
-                try:
-                    for path, (traj, extra) in zip(paths, cases[kind]):
-                        write_trajectory(path, traj, fmt=fmt, extra=extra)
-                except Exception as exc:  # a crash is a failed call
-                    failed = repr(exc)
-                seconds = time.perf_counter() - t0
-                data = b"".join(path.read_bytes() for path in paths if path.exists())
-            reply = {"s": seconds, "failed": failed, "sha256": hashlib.sha256(data).hexdigest()}
-            print(json.dumps(reply), flush=True)
+    workdir, cases = Path(workdir), None
+    print(json.dumps(machine.facts()), flush=True)
+    for line in sys.stdin:
+        case, index = json.loads(line)
+        if case == "cli":  # parity.py's calls; a crash replies -1 and its traceback
+            result, _, stderr = run.invoke(qisflow.cli.main, index, None)
+            print(json.dumps([result.exit_code, result.stdout, stderr]), flush=True)
+            continue
+        failed, data = None, b""
+        if case in workloads:
+            seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
+                                             index, workdir)
+            failed = failure and failure.reason
+        else:
+            kind, fmt = case.split("-")
+            cases = cases or trajectories(workdir)  # on the first write request, untimed
+            paths = [workdir / f"{case}-{k}" for k in range(len(cases[kind]))]
+            t0 = time.perf_counter()
+            try:
+                for path, (traj, extra) in zip(paths, cases[kind]):
+                    write_trajectory(path, traj, fmt=fmt, extra=extra)
+            except Exception as exc:  # a crash is a failed call
+                failed = repr(exc)
+            seconds = time.perf_counter() - t0
+            data = b"".join(path.read_bytes() for path in paths if path.exists())
+        reply = {"s": seconds, "failed": failed, "sha256": hashlib.sha256(data).hexdigest()}
+        print(json.dumps(reply), flush=True)
+
+
+class Worker(subprocess.Popen):
+    """A worker's process.  Its ``workdir`` is removed when a wait (or
+    ``communicate``) sees the process end, however it ended."""
+
+    def __init__(self, args, workdir: Path, **kwargs):
+        super().__init__([*args, str(workdir)], **kwargs)
+        self.workdir = workdir
+
+    def wait(self, timeout=None):
+        code = super().wait(timeout)
+        shutil.rmtree(self.workdir, ignore_errors=True)
+        return code
 
 
 def start(checkout: Path):
-    """A worker on ``checkout``'s ``src/``; returns (send(case, index), facts, process),
+    """A worker on ``checkout``'s ``src/``; returns (send(case, index), facts, Worker),
     ``send`` returning a ``wait()`` for that reply; wait in the order sent.  A worker
     that ends without a reply stops the script, naming ``checkout`` and the request."""
     # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
     env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
-    proc = subprocess.Popen([sys.executable, "-c", "import paired, sys; paired.serve(sys.argv[1])",
-                             str(checkout / "src")], cwd=Path(__file__).parent, env=env,
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    proc = Worker([sys.executable, "-c", "import paired, sys; paired.serve(*sys.argv[1:])",
+                   str(checkout / "src")], Path(tempfile.mkdtemp(prefix="qisflow-paired-")),
+                  cwd=Path(__file__).parent, env=env,
+                  stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def reply(request: str):
         line = proc.stdout.readline()

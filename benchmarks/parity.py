@@ -32,7 +32,11 @@ non-diagonal rho0 (``imag`` left out; the first flow problems of the first
 seed with their spectrum turned by a real orthogonal matrix, ``t_max``
 REAL_T_MAX, every step recorded), each with ``solve-lp`` and ``flow`` in CSV
 and structured format: no other input runs the matrix kernel in real
-arithmetic off the diagonal.
+arithmetic off the diagonal; and NEGATIVE_ZERO_PROBLEMS ``init: matrix``
+problems, diag(x0) of the first LP problems of the first seed with every
+off-diagonal entry -0.0 in ``real`` and ``imag`` (``t_max`` REAL_T_MAX, every
+step recorded), each with ``solve-lp`` and ``flow``: the only inputs on which
+the sign of a zero picks the matrix kernel's field.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
@@ -78,6 +82,7 @@ SCALED_PROBLEMS = 30
 COST_SCALES = (100, 1000)
 REAL_MATRIX_PROBLEMS = 10
 REAL_T_MAX = 0.2
+NEGATIVE_ZERO_PROBLEMS = 12
 
 def with_init(text: str, init: str) -> str:
     """A problem's text with the YAML lines ``init`` in place of its init."""
@@ -166,6 +171,15 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
                 name = f"real-{i}-{command}.{ext}"
                 calls.append((command, [command, str(path), "-o", "{out}/" + name,
                                         "--format", fmt], name))
+    for i in range(NEGATIVE_ZERO_PROBLEMS):
+        problem = inputs.lp_problem(SEEDS[0], i)
+        rho = np.full((problem.m, problem.m), complex(-0.0, -0.0))
+        np.fill_diagonal(rho, problem.x0)
+        path = workdir / f"negzero-{i}.yaml"
+        path.write_text(inputs.FlowProblem(problem.m, problem.c, rho, t_max=REAL_T_MAX).text())
+        for command in ("solve-lp", "flow"):
+            name = f"negzero-{i}-{command}.csv"
+            calls.append((command, [command, str(path), "-o", "{out}/" + name], name))
     return calls
 
 

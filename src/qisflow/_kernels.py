@@ -8,6 +8,17 @@ A simplex step, and much of a small matrix step, costs numpy call overhead,
 not arithmetic, so the reductions are called as ufunc methods: the same bits
 as ``np.sum``, ``np.min``, ``ndarray.all`` and ``ndarray.trace`` without their
 Python wrappers.
+
+``advance_matrix`` picks the field once per call.  A float64 state whose
+off-diagonal entries are all +0.0 stays so under the dense field, whose
+diagonal is then ``simplex_rhs`` of the state's diagonal bit for bit; so that
+state gets the O(m) field diag(simplex_rhs).  Every other state (complex, off
+the diagonal, or with an off-diagonal -0.0, whose sign the dense field can
+keep) gets the O(m^3) ``matrix_rhs``.  Both keep the eigvalsh guard.  The
+dense field doubles c_j x_j and c_j x_j^2 before it halves them, so bit
+identity needs those doubled values to be normal floats: where
+|c_j| x_j^2 >= 2^1022 or |c_j x_j| >= 2^1023 the dense field overflows while
+the simplex field is finite, so a step that failed as non-finite carries on.
 """
 
 from __future__ import annotations
@@ -70,7 +81,26 @@ def advance_simplex(x, c, h, nsteps, floor):
     return _advance(x, c, h, nsteps, floor, simplex_rhs, np.minimum.reduce, np.add.reduce)
 
 
+def _diagonal_rhs(rho, c):
+    """diag(simplex_rhs(diagonal of rho)), filled in place of ``np.diag``'s wrapper."""
+    field = np.zeros(rho.shape)
+    field.ravel()[::len(rho) + 1] = simplex_rhs(rho.diagonal(), c)
+    return field
+
+
+def _is_real_diagonal(rho):
+    """True for a float64 rho whose off-diagonal entries are all +0.0 (bit
+    pattern 0; a -0.0 keeps its sign under the dense field, not here)."""
+    if rho.dtype != np.float64:
+        return False
+    bits = rho.view(np.int64)
+    return np.count_nonzero(bits) == np.count_nonzero(bits.diagonal())
+
+
 def advance_matrix(rho, c, h, nsteps, floor):
     """rho must be exactly Hermitian (the driver symmetrizes its start once):
-    the field keeps it so, and each step only renormalizes the trace."""
-    return _advance(rho, c, h, nsteps, floor, matrix_rhs, _matrix_lowest, _matrix_norm)
+    the field keeps it so, and each step only renormalizes the trace.  The
+    field is ``_diagonal_rhs`` when ``_is_real_diagonal(rho)``, else
+    ``matrix_rhs`` (see the module docstring)."""
+    rhs = _diagonal_rhs if _is_real_diagonal(rho) else matrix_rhs
+    return _advance(rho, c, h, nsteps, floor, rhs, _matrix_lowest, _matrix_norm)

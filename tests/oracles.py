@@ -7,7 +7,8 @@ these calls, made case by case in the suite's order, would draw.
 ``vertical_component_check`` certifies the orthogonality of the lift's
 vertical/horizontal splitting.  ``trace_field_K`` and ``trace_matrix_norm``
 are the matrix kernel's flow field and trace norm as first written, with
-``ndarray.trace``.  ``linear_field`` and ``linear_flow`` are the SLD gradient
+``ndarray.trace``.  ``dense_advance_matrix`` is the matrix kernel with the
+dense field on every state, diagonal ones too.  ``linear_field`` and ``linear_flow`` are the SLD gradient
 flow of the linear potential tr(C rho) and its closed form, an exact answer
 for the RK4 loop on dense, non-commuting states.  No part of the package
 calls them.
@@ -15,6 +16,7 @@ calls them.
 
 import numpy as np
 
+from qisflow import _kernels
 from qisflow.errors import ContractError
 from qisflow.lift import ambient_metric, vertical_project
 from qisflow.randstate import (
@@ -93,6 +95,12 @@ def trace_field_K(rho, c) -> np.ndarray:
 def trace_matrix_norm(rho):
     """``_kernels._matrix_norm`` written with ``ndarray.trace``."""
     return rho.trace().real
+
+
+def dense_advance_matrix(rho, c, h, nsteps, floor):
+    """``_kernels.advance_matrix`` with ``matrix_rhs`` whatever the state."""
+    return _kernels._advance(rho, c, h, nsteps, floor, _kernels.matrix_rhs,
+                             _kernels._matrix_lowest, _kernels._matrix_norm)
 
 
 def linear_field(rho, c) -> np.ndarray:

@@ -35,7 +35,13 @@ from qisflow._kernels import (
     _matrix_lowest,
     _matrix_norm,
 )
-from oracles import linear_field, linear_flow, random_lp_cost, random_tangent
+from oracles import (
+    dense_advance_matrix,
+    linear_field,
+    linear_flow,
+    random_lp_cost,
+    random_tangent,
+)
 
 
 class TestParams:
@@ -135,7 +141,9 @@ class TestMatrixFlow:
         assert np.max(np.abs(np.diag(traj.final_state).real - e)) < 1e-4
         assert nearest_vertex(traj.final_state) == np.argmin(c)
 
-    def test_diagonal_submanifold_invariant(self):
+    def test_diagonal_submanifold_invariant(self, monkeypatch):
+        # the dense field, not the diagonal one advance_matrix picks here
+        monkeypatch.setattr("qisflow._kernels.advance_matrix", dense_advance_matrix)
         x0 = np.array([0.4, 0.3, 0.2, 0.1])
         c = np.array([2.0, 1.0, 3.0, 1.5])
         traj = integrate_matrix(
@@ -232,7 +240,8 @@ class TestMatrixFlow:
 
 
 class TestSimplexFlow:
-    def test_matches_diagonal_matrix_flow(self):
+    def test_matches_diagonal_matrix_flow(self, monkeypatch):
+        monkeypatch.setattr("qisflow._kernels.advance_matrix", dense_advance_matrix)
         x0 = np.array([0.35, 0.25, 0.4])
         c = np.array([2.0, 1.0, 3.0])
         p = IntegrationParams(t_max=3.0, grad_tol=1e-15)

@@ -17,7 +17,7 @@ from qisflow.qis_core import hermitian_part
 from qisflow.simplex import grad_kappa, karmarkar_field
 from qisflow.randstate import random_cost, random_density, random_simplex_point
 
-from oracles import trace_field_K, trace_matrix_norm
+from oracles import dense_advance_matrix, trace_field_K, trace_matrix_norm
 
 # One RK4 step of size 1e-2 at this cost scale overshoots out of the domain.
 OVERSHOOT_C = np.array([3000.0, -1000.0, -1500.0, 2000.0])
@@ -179,11 +179,11 @@ def diagonal_cases(seed, count):
 def test_matrix_kernel_on_real_diagonal_states_is_the_simplex_kernel():
     """The dense kernel keeps a real diagonal state diagonal, bit for bit, and
     its diagonal is the simplex kernel's state, step count and status: what
-    running commuting problems on the simplex kernel relies on.  Complex128
-    states differ in the last bits, so the states are real float64."""
+    ``advance_matrix``'s diagonal field relies on.  Complex128 states differ
+    in the last bits, so the states are real float64."""
     statuses = set()
     for x, c, h, nsteps, floor in diagonal_cases(31, 150):
-        rho, steps, status = advance_matrix(np.diag(x), c, h, nsteps, floor)
+        rho, steps, status = dense_advance_matrix(np.diag(x), c, h, nsteps, floor)
         want, want_steps, want_status = advance_simplex(x, c, h, nsteps, floor)
         assert (steps, status) == (want_steps, want_status)
         assert rho.dtype == np.float64
@@ -191,6 +191,72 @@ def test_matrix_kernel_on_real_diagonal_states_is_the_simplex_kernel():
         assert not (rho - np.diag(np.diag(rho))).any()
         statuses.add(status)
     assert {STATUS_OK, STATUS_BOUNDARY, STATUS_LEFT_DOMAIN} <= statuses
+
+
+class TestDiagonalField:
+    """``advance_matrix`` takes the O(m) diagonal field on float64 states whose
+    off-diagonal entries are all +0.0, and ``matrix_rhs`` on every other."""
+
+    @staticmethod
+    def _fields(monkeypatch, rho, c):
+        """The names of the fields ``advance_matrix`` calls from ``rho``."""
+        called = set()
+        for name in ("matrix_rhs", "simplex_rhs"):
+            def counted(*args, name=name, field=getattr(_kernels, name)):
+                called.add(name)
+                return field(*args)
+            monkeypatch.setattr(_kernels, name, counted)
+        advance_matrix(rho, c, 1e-3, 3, 1e-12)
+        return called
+
+    def test_real_diagonal_states_match_the_dense_field(self):
+        statuses = set()
+        for x, c, h, nsteps, floor in diagonal_cases(32, 150):
+            got, steps, status = advance_matrix(np.diag(x), c, h, nsteps, floor)
+            want, want_steps, want_status = dense_advance_matrix(np.diag(x), c, h, nsteps, floor)
+            assert got.tobytes() == want.tobytes()
+            assert (steps, status) == (want_steps, want_status)
+            statuses.add(status)
+        assert {STATUS_OK, STATUS_BOUNDARY, STATUS_LEFT_DOMAIN} <= statuses
+
+    def test_only_real_diagonal_states_take_the_diagonal_field(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = random_simplex_point(rng, 5)
+        c = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+        negative_zero = np.diag(x)
+        negative_zero[1, 3] = negative_zero[3, 1] = -0.0
+        assert self._fields(monkeypatch, np.diag(x), c) == {"simplex_rhs"}
+        for rho in (np.diag(x).astype(np.complex128), TestRealPath._states(rng, 5)[1],
+                    negative_zero):
+            assert self._fields(monkeypatch, rho, c) == {"matrix_rhs"}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_runs_on_where_the_dense_field_overflows(self):
+        """|c_1| x_1^2 >= 2^1022: the dense field overflows, the simplex one
+        does not, so the diagonal field is the simplex kernel there too."""
+        x, c = np.array([0.8, 0.2]), np.array([-1e308, 1.0])
+        rho, steps, status = advance_matrix(np.diag(x), c, 1e-310, 5, 1e-12)
+        want, want_steps, want_status = advance_simplex(x, c, 1e-310, 5, 1e-12)
+        assert (steps, status) == (want_steps, want_status) == (5, STATUS_OK)
+        assert np.diag(rho).tobytes() == want.tobytes()
+        assert dense_advance_matrix(np.diag(x), c, 1e-310, 5, 1e-12)[1:] == (0, STATUS_NONFINITE)
+
+    def test_negative_zeros_keep_their_sign(self):
+        """What the +0.0 rule protects: from off-diagonal -0.0 entries the dense
+        field keeps some of them -0.0, which a trajectory writes as "-0.0"; the
+        diagonal field would make them all +0.0.  Positive costs keep them."""
+        rng = np.random.default_rng(7)
+        kept = 0
+        for m in (2, 3, 5, 8):
+            rho = np.diag(random_simplex_point(rng, m))
+            off = ~np.eye(m, dtype=bool)
+            rho[off] = -0.0
+            c = np.abs(random_cost(rng, m))
+            got, _, _ = advance_matrix(rho, c, 1e-2, 20, 1e-12)
+            assert got.tobytes() == dense_advance_matrix(rho, c, 1e-2, 20, 1e-12)[0].tobytes()
+            kept += np.signbit(got[off]).sum()
+        assert kept > 0
 
 
 class TestRealPath:

@@ -75,7 +75,8 @@ def test_ci_spans_the_spread_between_generations():
     assert s["ci95"][0] < 0.99 and s["ci95"][1] > 1.01
 
 
-def test_worker_integrates_the_write_cases_on_the_first_write_request(monkeypatch, capsys):
+def test_worker_integrates_the_write_cases_on_the_first_write_request(monkeypatch, capsys,
+                                                                      tmp_path):
     """``serve`` in this process: a ``cli`` request does not build the write cases'
     trajectories; the first write request does, once (here the stand-in fails)."""
     built = []
@@ -88,10 +89,10 @@ def test_worker_integrates_the_write_cases_on_the_first_write_request(monkeypatc
     monkeypatch.setattr(sys, "stdin", io.StringIO(
         '["cli", ["verify"]]\n["dense-csv", 0]\n["dense-csv", 1]\n'))
     with pytest.raises(RuntimeError, match="trajectories built"):
-        paired.serve(str(ROOT / "src"))
+        paired.serve(str(ROOT / "src"), str(tmp_path))
     facts, reply = map(json.loads, capsys.readouterr().out.splitlines())
     assert "numpy" in facts and reply[0] == 1 and "required: suite" in reply[2]
-    assert len(built) == 1
+    assert built == [tmp_path]
 
 
 def worker_replies(*requests):
@@ -130,6 +131,17 @@ def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait():
     with pytest.raises(SystemExit, match=re.escape(
             f"{ROOT} exited (1) on cli ['verify', '--help']")):
         wait()
+
+
+def test_a_worker_that_exits_hard_leaves_no_work_directory():
+    """A killed worker runs none of its own clean-up; waiting on it removes its
+    work directory, files and all."""
+    send, _, proc = paired.start(ROOT)
+    assert send("lp-simplex", 0)()["failed"] is None  # its problem and trajectory files
+    assert any(proc.workdir.iterdir())
+    proc.kill()
+    assert proc.wait(timeout=60) != 0
+    assert not proc.workdir.exists()
 
 
 def test_worker_refuses_a_checkout_whose_src_does_not_hold_qisflow(tmp_path, monkeypatch):
