@@ -9,16 +9,13 @@ not arithmetic, so the reductions are called as ufunc methods: the same bits
 as ``np.sum``, ``np.min``, ``ndarray.all`` and ``ndarray.trace`` without their
 Python wrappers.
 
-``advance_matrix`` picks the field once per call.  A float64 state whose
-off-diagonal entries are all +0.0 stays so under the dense field, whose
-diagonal is then ``simplex_rhs`` of the state's diagonal bit for bit; so that
-state gets the O(m) field diag(simplex_rhs).  Every other state (complex, off
-the diagonal, or with an off-diagonal -0.0, whose sign the dense field can
-keep) gets the O(m^3) ``matrix_rhs``.  Both keep the eigvalsh guard.  The
-dense field doubles c_j x_j and c_j x_j^2 before it halves them, so bit
-identity needs those doubled values to be normal floats: where
-|c_j| x_j^2 >= 2^1022 or |c_j x_j| >= 2^1023 the dense field overflows while
-the simplex field is finite, so a step that failed as non-finite carries on.
+``advance_matrix`` gives a float64 state whose off-diagonal entries are all
++0.0 the O(m) field diag(simplex_rhs(diagonal)): the dense field keeps such a
+state so and equals that bit for bit, except that it doubles c_j x_j and
+c_j x_j^2 before halving them, so it alone overflows where |c_j| x_j^2 >=
+2^1022 or |c_j x_j| >= 2^1023.  Every other state (complex, off the diagonal,
+or with an off-diagonal -0.0, whose sign the dense field can keep) gets the
+O(m^3) ``matrix_rhs``.  Both keep the eigvalsh guard.
 """
 
 from __future__ import annotations
@@ -99,8 +96,6 @@ def _is_real_diagonal(rho):
 
 def advance_matrix(rho, c, h, nsteps, floor):
     """rho must be exactly Hermitian (the driver symmetrizes its start once):
-    the field keeps it so, and each step only renormalizes the trace.  The
-    field is ``_diagonal_rhs`` when ``_is_real_diagonal(rho)``, else
-    ``matrix_rhs`` (see the module docstring)."""
+    the field keeps it so, and each step only renormalizes the trace."""
     rhs = _diagonal_rhs if _is_real_diagonal(rho) else matrix_rhs
     return _advance(rho, c, h, nsteps, floor, rhs, _matrix_lowest, _matrix_norm)

@@ -124,8 +124,11 @@ def integrate_matrix(rho0, c, p: IntegrationParams | None = None) -> FlowTraject
     """Integrate d rho/dt = -grad_K(rho) with RK4; rho0 is symmetrized once, so
     the t=0 record is the state integrated, the field keeps states exactly
     Hermitian and each step renormalizes the trace.  C is real, so a real rho0
-    stays real and is integrated in real arithmetic; states are recorded as
-    complex matrices.  Stops on stationarity, horizon, or boundary guard."""
+    stays real and is integrated in real arithmetic; a real diagonal one (its
+    off-diagonal entries +0.0) stays diagonal and gets the O(m) field
+    diag(simplex_rhs), any other the dense field (see ``_kernels``).  States
+    are recorded as complex matrices.  Stops on stationarity, horizon, or
+    boundary guard."""
     p = p or IntegrationParams()
     rho, c = gradient._validated(hermitian_part(check_density(rho0, floor=0.0)), c)
     if not rho.imag.any():
