@@ -8,10 +8,10 @@ these calls, made case by case in the suite's order, would draw.
 vertical/horizontal splitting.  ``trace_field_K`` and ``trace_matrix_norm``
 are the matrix kernel's flow field and trace norm as first written, with
 ``ndarray.trace``.  ``dense_advance_matrix`` is the matrix kernel with the
-dense field on every state, diagonal ones too.  ``linear_field`` and ``linear_flow`` are the SLD gradient
-flow of the linear potential tr(C rho) and its closed form, an exact answer
-for the RK4 loop on dense, non-commuting states.  No part of the package
-calls them.
+dense field on every state, diagonal ones too.  ``linear_field`` and
+``linear_flow`` are the SLD gradient flow of the linear potential tr(C rho)
+and its closed form, an exact answer for the RK4 loop on dense,
+non-commuting states.  No part of the package calls them.
 """
 
 import numpy as np
