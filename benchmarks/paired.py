@@ -3,16 +3,14 @@
 Usage: python3 benchmarks/paired.py --checkout ../parent --checkout . --label "what changed"
 
 A long-lived worker per checkout imports ``qisflow`` from that checkout's
-``src/`` alone and ``perfbench`` from this script's checkout.  Per case both
-make WARMUP warm-up calls, then call k of PAIRS pairs, A first in even pairs
-and B first in odd ones: each perfbench workload (``call_once`` at seed SEED,
-checked by perfbench), and ``write_trajectory``, both formats, of dense rows
-(FLOW_FILES ``flow`` problems) and diagonal and simplex rows (LP_FILES LP
-problems), whose hashes must agree.  As speed differs between processes, the
-workers start afresh GENERATIONS times.  Per case it prints and appends the median
-per-pair ratio B/A of in-worker time, its quartiles and 95% CI (a seeded
-bootstrap of generations, then pairs), the pairs in each order, and each
-side's median time and failed calls (counted, never dropped); exits 1 if files differ.
+``src/`` alone and ``perfbench`` from this script's checkout.  Per workload
+that ``BENCHMARK.json`` declares, both make WARMUP warm-up calls, then call k
+of PAIRS pairs, A first in even pairs and B first in odd ones: ``call_once``
+at seed SEED, checked by perfbench.  As speed differs between processes, the
+workers start afresh GENERATIONS times.  Per workload it prints and appends
+the median per-pair ratio B/A of in-worker time, its quartiles and 95% CI (a
+seeded bootstrap of generations, then pairs), the pairs in each order, and
+each side's median time and failed calls (counted, never dropped).
 """
 
 from __future__ import annotations
@@ -20,95 +18,47 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
-import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
-from record import append, entry, in_turn, revision, spread
+from record import WORKLOADS, append, entry, in_turn, revision, spread
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "BENCH_paired.json"
-WORKLOADS = ("lp-matrix", "lp-simplex", "flow-dense", "verify-suites")
-WRITES = tuple(f"{k}-{f}" for k in ("dense", "diagonal", "simplex") for f in ("csv", "structured"))
 GENERATIONS = 5
 PAIRS = 200  # per generation
 WARMUP = 3
 SEED = 22
-FLOW_FILES = 2
-LP_FILES = 6
 BOOTSTRAP = 2000
-
-
-def trajectories(workdir: Path) -> dict:
-    """Per row kind, each problem's (trajectory, extra column), as the CLI makes them."""
-    from perfbench import inputs
-    from qisflow import integrate_matrix, integrate_simplex
-    from qisflow.problem_io import initial_density, initial_simplex, load_problem
-
-    cases = {"dense": [], "diagonal": [], "simplex": []}
-    for i in range(FLOW_FILES + LP_FILES):
-        path = workdir / "problem.yaml"
-        path.write_text((inputs.flow_problem(SEED, i) if i < FLOW_FILES
-                         else inputs.lp_problem(SEED, i - FLOW_FILES)).text())
-        problem = load_problem(path)
-        traj = integrate_matrix(initial_density(problem), problem.c, problem.params)
-        if i < FLOW_FILES:
-            comm = [float(np.linalg.norm(rho @ traj.states[0] - traj.states[0] @ rho))
-                    for rho in traj.states]
-            cases["dense"].append((traj, ("commutator_norm", comm)))
-        else:
-            cases["diagonal"].append((traj, None))
-            cases["simplex"].append((integrate_simplex(
-                initial_simplex(problem), problem.c, problem.params), None))
-    return cases
 
 
 def serve(src: str, workdir: str) -> None:
     """Worker: import qisflow from ``src`` alone, print the machine facts, then
-    answer each line of stdin with one JSON line: ``[case, index]`` with the time,
-    failure and hash, ``["cli", argv]`` with ``qisflow.cli.main(argv)``'s [code, stdout, stderr].
-    Its files go in ``workdir``."""
+    answer each line of stdin with one JSON line: ``[workload, index]`` with the
+    time and failure of that ``call_once``, ``["cli", argv]`` with
+    ``qisflow.cli.main(argv)``'s [code, stdout, stderr].  Its files go in ``workdir``."""
     sys.path[:0] = [str(ROOT), src]
     import qisflow.cli
-    from qisflow.problem_io import write_trajectory
     if Path(qisflow.cli.__file__).resolve() != Path(src, "qisflow", "cli.py").resolve():
         sys.exit(f"paired: imported qisflow from outside {src}")
     from perfbench import machine, run
     workloads = run._workloads()
-    workdir, cases = Path(workdir), None
     print(json.dumps(machine.facts()), flush=True)
     for line in sys.stdin:
         case, index = json.loads(line)
         if case == "cli":  # parity.py's calls; a crash replies -1 and its traceback
             result, _, stderr = run.invoke(qisflow.cli.main, index, None)
-            print(json.dumps([result.exit_code, result.stdout, stderr]), flush=True)
-            continue
-        failed, data = None, b""
-        if case in workloads:
-            seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
-                                             index, workdir)
-            failed = failure and failure.reason
+            reply = [result.exit_code, result.stdout, stderr]
         else:
-            kind, fmt = case.split("-")
-            cases = cases or trajectories(workdir)  # on the first write request, untimed
-            paths = [workdir / f"{case}-{k}" for k in range(len(cases[kind]))]
-            t0 = time.perf_counter()
-            try:
-                for path, (traj, extra) in zip(paths, cases[kind]):
-                    write_trajectory(path, traj, fmt=fmt, extra=extra)
-            except Exception as exc:  # a crash is a failed call
-                failed = repr(exc)
-            seconds = time.perf_counter() - t0
-            data = b"".join(path.read_bytes() for path in paths if path.exists())
-        reply = {"s": seconds, "failed": failed, "sha256": hashlib.sha256(data).hexdigest()}
+            seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
+                                             index, Path(workdir))
+            reply = {"s": seconds, "failed": failure and failure.reason}
         print(json.dumps(reply), flush=True)
 
 
@@ -130,11 +80,9 @@ def start(checkout: Path):
     """A worker on ``checkout``'s ``src/``; returns (send(case, index), facts, Worker),
     ``send`` returning a ``wait()`` for that reply; wait in the order sent.  A worker
     that ends without a reply stops the script, naming ``checkout`` and the request."""
-    # older checkouts still read QISFLOW_SEED, and ROADMAP item 1's backfill runs them
-    env = {k: v for k, v in os.environ.items() if k != "QISFLOW_SEED"}
     proc = Worker([sys.executable, "-c", "import paired, sys; paired.serve(*sys.argv[1:])",
                    str(checkout / "src")], Path(tempfile.mkdtemp(prefix="qisflow-paired-")),
-                  cwd=Path(__file__).parent, env=env,
+                  cwd=Path(__file__).parent,
                   stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def reply(request: str):
@@ -166,7 +114,7 @@ def time_pairs(sides, case: str, pairs: int) -> list:
 
 def summarize(generations: list) -> dict:
     """Over ``time_pairs`` results: the spread of the ratios B/A, a 95% CI of their median
-    (resampling generations, then pairs), the orders, median ms, failures, file agreement."""
+    (resampling generations, then pairs), the orders, median ms and failures."""
     ratios = np.array([[b["s"] / a["s"] for _, a, b in g] for g in generations])
     rng = np.random.default_rng(SEED)
     picked = rng.integers(0, len(ratios), (BOOTSTRAP, len(ratios), 1))
@@ -177,8 +125,7 @@ def summarize(generations: list) -> dict:
     return {**spread(ratios.ravel().tolist()), "ci95": [float(low), float(high)],
             "pairs": len(results), "ab": ab, "ba": len(results) - ab,
             "ms": [1e3 * float(np.median([r[k]["s"] for r in results])) for k in (1, 2)],
-            "failed": [sum(r[k]["failed"] is not None for r in results) for k in (1, 2)],
-            "files_match": all(a["sha256"] == b["sha256"] for _, a, b in results)}
+            "failed": [sum(r[k]["failed"] is not None for r in results) for k in (1, 2)]}
 
 
 def main(argv=None) -> int:
@@ -188,7 +135,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.checkout) != 2:
         ap.error("give --checkout twice: A, then B")
-    runs = {case: [] for case in WORKLOADS + WRITES}
+    runs = {case: [] for case in WORKLOADS}
     for generation in range(GENERATIONS):
         workers = [start(c.resolve()) for c in args.checkout]
         sides = [lambda case, index, send=w[0]: send(case, index)() for w in workers]
@@ -201,12 +148,11 @@ def main(argv=None) -> int:
     for case, s in cases.items():
         print(f"{case}: B/A {s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f}, CI "
               f"{s['ci95'][0]:.4f}-{s['ci95'][1]:.4f}), AB/BA {s['ab']}/{s['ba']}, ms "
-              f"{s['ms'][0]:.2f}/{s['ms'][1]:.2f}, failed {s['failed'][0]}/{s['failed'][1]}"
-              + ("" if s["files_match"] else ", FILES DIFFER"))
+              f"{s['ms'][0]:.2f}/{s['ms'][1]:.2f}, failed {s['failed'][0]}/{s['failed'][1]}")
     command = f"paired.py: {GENERATIONS} x {PAIRS} ABBA pairs, {WARMUP} warm-up calls, seed {SEED}"
     append(RECORD, [entry(revision(args.checkout[1]), args.label, command, True, workers[0][1],
                           baseline=revision(args.checkout[0]), seed=SEED, cases=cases)])
-    return 0 if all(s["files_match"] for s in cases.values()) else 1
+    return 0
 
 
 if __name__ == "__main__":

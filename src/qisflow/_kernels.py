@@ -11,11 +11,9 @@ Python wrappers.
 
 ``advance_matrix`` gives a float64 state whose off-diagonal entries are all
 +0.0 the O(m) field diag(simplex_rhs(diagonal)): the dense field keeps such a
-state so and equals that bit for bit, except that it doubles c_j x_j and
-c_j x_j^2 before halving them, so it alone overflows where |c_j| x_j^2 >=
-2^1022 or |c_j x_j| >= 2^1023.  Every other state (complex, off the diagonal,
-or with an off-diagonal -0.0, whose sign the dense field can keep) gets the
-O(m^3) ``matrix_rhs``.  Both keep the eigvalsh guard.
+state so and equals that bit for bit.  Every other state (complex, off the
+diagonal, or with an off-diagonal -0.0, whose sign the dense field can keep)
+gets the O(m^3) ``matrix_rhs``.  Both keep the eigvalsh guard.
 """
 
 from __future__ import annotations

@@ -32,8 +32,20 @@ def grad_general(rho, mf) -> np.ndarray:
     _same_dim(rho, mf)
     if np.max(np.abs(mf - mf.conj().T)) > HERM_TOL:
         raise ContractError("derivative matrix mf is not Hermitian")
-    prod = rho @ mf
-    return 0.5 * (prod + mf @ rho) - np.trace(prod).real * rho
+    return -_field(rho, mf)
+
+
+def _field(rho, mf) -> np.ndarray:
+    """``-grad_general`` without validation, the one body of both gradients.
+
+    With Q = rho mf it is tr(Q) rho - (Q/2 + (Q/2)†), one matrix product; the
+    result is exactly Hermitian whenever rho is.  Q is halved before the sum,
+    so the sum overflows only where the field does.  tr Q is the reduction
+    ``ndarray.trace`` makes, called without its wrapper.
+    """
+    q = rho @ mf
+    half = 0.5 * q
+    return np.add.reduce(q.diagonal()).real * rho - (half + half.conj().T)
 
 
 def potential_K(rho, c) -> float:
@@ -55,8 +67,10 @@ def m_operator_K(rho, c) -> np.ndarray:
 
 
 def _m_operator_K(rho, c) -> np.ndarray:
-    """``m_operator_K`` without validation."""
-    return 0.5 * (c[:, None] * rho + rho * c)
+    """``m_operator_K`` without validation; c is halved before the sum, so the
+    sum overflows only where the result does."""
+    half = 0.5 * c
+    return half[:, None] * rho + rho * half
 
 
 def grad_K(rho, c) -> np.ndarray:
@@ -65,14 +79,8 @@ def grad_K(rho, c) -> np.ndarray:
 
 
 def _field_K(rho, c) -> np.ndarray:
-    """The flow field ``-grad_K`` without validation; the RK4 right-hand side returns it.
-
-    With P = rho (C rho + rho C) it is (tr P / 2) rho - (P + P†)/4, one matrix
-    product; the result is exactly Hermitian whenever rho is.  tr P is the
-    reduction ``ndarray.trace`` makes, called without its wrapper.
-    """
-    p = rho @ (c[:, None] * rho + rho * c)
-    return (0.5 * np.add.reduce(p.diagonal()).real) * rho - 0.25 * (p + p.conj().T)
+    """The flow field ``-grad_K`` without validation; the RK4 right-hand side returns it."""
+    return _field(rho, _m_operator_K(rho, c))
 
 
 def _validated(rho, c) -> tuple[np.ndarray, np.ndarray]:

@@ -87,7 +87,8 @@ def vertical_component_check(phi, x, rng) -> float:
 
 
 def trace_field_K(rho, c) -> np.ndarray:
-    """``gradient._field_K`` written with ``ndarray.trace``."""
+    """``gradient._field_K`` written with ``ndarray.trace``, and with P = 2Q
+    halved after the sum: the same bits wherever neither overflows."""
     p = rho @ (c[:, None] * rho + rho * c)
     return (0.5 * p.trace().real) * rho - 0.25 * (p + p.conj().T)
 

@@ -22,8 +22,7 @@ def side(seconds, failing=()):
 
     def call(case, index):
         log.append((case, index))
-        return {"s": seconds(index), "failed": "boom" if index in failing else None,
-                "sha256": "same"}
+        return {"s": seconds(index), "failed": "boom" if index in failing else None}
     call.log = log
     return call
 
@@ -34,7 +33,7 @@ def test_identical_sides_give_ratio_one_with_a_point_ci():
     s = paired.summarize([paired.time_pairs([a, b], "lp-matrix", 40) for _ in range(3)])
     assert s["median"] == s["q1"] == s["q3"] == 1.0
     assert s["ci95"] == [1.0, 1.0]
-    assert s["pairs"] == 120 and s["failed"] == [0, 0] and s["files_match"]
+    assert s["pairs"] == 120 and s["failed"] == [0, 0]
 
 
 def test_even_pair_count_balances_the_order():
@@ -57,13 +56,6 @@ def test_failed_calls_are_counted_on_their_side_and_kept():
     assert s["pairs"] == 8 and s["median"] == 2.0
 
 
-def test_different_files_are_reported():
-    a, b = side(lambda k: 0.02), side(lambda k: 0.02)
-    results = paired.time_pairs([a, b], "dense-csv", 4)
-    results[2][2]["sha256"] = "other"
-    assert not paired.summarize([results])["files_match"]
-
-
 def test_ci_spans_the_spread_between_generations():
     """Pairs that agree within each generation but not between generations give
     a CI as wide as the generations' spread, not a point."""
@@ -75,24 +67,30 @@ def test_ci_spans_the_spread_between_generations():
     assert s["ci95"][0] < 0.99 and s["ci95"][1] > 1.01
 
 
-def test_worker_integrates_the_write_cases_on_the_first_write_request(monkeypatch, capsys,
-                                                                      tmp_path):
-    """``serve`` in this process: a ``cli`` request does not build the write cases'
-    trajectories; the first write request does, once (here the stand-in fails)."""
-    built = []
+def test_main_times_every_benchmark_workload_in_its_order(monkeypatch, tmp_path):
+    """``main`` sends both workers the workloads of ``BENCHMARK.json`` and no other
+    case, and records one summary per workload, in that order."""
+    sent = []
 
-    def trajectories(workdir):
-        built.append(workdir)
-        raise RuntimeError("trajectories built")
-    monkeypatch.setattr(paired, "trajectories", trajectories)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(
-        '["cli", ["verify"]]\n["dense-csv", 0]\n["dense-csv", 1]\n'))
-    with pytest.raises(RuntimeError, match="trajectories built"):
-        paired.serve(str(ROOT / "src"), str(tmp_path))
-    facts, reply = map(json.loads, capsys.readouterr().out.splitlines())
-    assert "numpy" in facts and reply[0] == 1 and "required: suite" in reply[2]
-    assert built == [tmp_path]
+    class Ended:
+        def communicate(self):
+            pass
+
+    def start(checkout):
+        def send(case, index):
+            sent.append(case)
+            return lambda: {"s": 0.02, "failed": None}
+        return send, {"machine": "fake"}, Ended()
+    monkeypatch.setattr(paired, "start", start)
+    monkeypatch.setattr(paired, "RECORD", tmp_path / "record.json")
+    monkeypatch.setattr(paired, "GENERATIONS", 2)
+    monkeypatch.setattr(paired, "PAIRS", 2)
+    assert paired.main(["--checkout", str(ROOT), "--checkout", str(ROOT)]) == 0
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    [entry] = json.loads((tmp_path / "record.json").read_text())
+    assert list(entry["cases"]) == declared
+    assert list(dict.fromkeys(sent)) == declared
+    assert len(sent) == 2 * 2 * len(declared) * (paired.WARMUP + 2)
 
 
 def worker_replies(*requests):
@@ -118,14 +116,14 @@ def test_worker_reports_a_usage_error_as_exit_1():
 
 
 def test_worker_that_dies_mid_run_names_the_checkout_and_the_request():
-    # a case that is neither a workload nor a write kind crashes the worker
+    # a case that is not a workload crashes the worker
     with pytest.raises(SystemExit, match=re.escape(f"{ROOT} exited (1) on nope 0")):
         worker_replies(("cli", ["verify", "--help"]), ("nope", 0))
 
 
 def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait():
     send, _, proc = paired.start(ROOT)
-    send("nope", 0)  # neither a workload nor a write kind: the worker crashes
+    send("nope", 0)  # not a workload: the worker crashes
     proc.wait(timeout=60)
     wait = send("cli", ["verify", "--help"])  # the closed pipe raises nothing here
     with pytest.raises(SystemExit, match=re.escape(
