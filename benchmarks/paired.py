@@ -48,7 +48,7 @@ def serve(src: str, workdir: str) -> None:
     if Path(qisflow.cli.__file__).resolve() != Path(src, "qisflow", "cli.py").resolve():
         sys.exit(f"paired: imported qisflow from outside {src}")
     from perfbench import machine, run
-    workloads = run._workloads()
+    workloads, workdir = run._workloads(), Path(workdir)
     print(json.dumps(machine.facts()), flush=True)
     for line in sys.stdin:
         case, index = json.loads(line)
@@ -57,7 +57,7 @@ def serve(src: str, workdir: str) -> None:
             reply = [result.exit_code, result.stdout, stderr]
         else:
             seconds, failure = run.call_once(qisflow.cli.main, workloads[case], SEED,
-                                             index, Path(workdir))
+                                             index, workdir)
             reply = {"s": seconds, "failed": failure and failure.reason}
         print(json.dumps(reply), flush=True)
 

@@ -1,7 +1,6 @@
 """``benchmarks/paired.py``: pair order and the summary, then the worker, which
 each of the last tests starts once as a subprocess."""
 
-import io
 import json
 import re
 import sys
@@ -82,6 +81,7 @@ def test_main_times_every_benchmark_workload_in_its_order(monkeypatch, tmp_path)
             return lambda: {"s": 0.02, "failed": None}
         return send, {"machine": "fake"}, Ended()
     monkeypatch.setattr(paired, "start", start)
+    monkeypatch.setattr(paired, "revision", lambda checkout: "rev")
     monkeypatch.setattr(paired, "RECORD", tmp_path / "record.json")
     monkeypatch.setattr(paired, "GENERATIONS", 2)
     monkeypatch.setattr(paired, "PAIRS", 2)
