@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import json
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -62,28 +61,15 @@ def serve(src: str, workdir: str) -> None:
         print(json.dumps(reply), flush=True)
 
 
-class Worker(subprocess.Popen):
-    """A worker's process.  Its ``workdir`` is removed when a wait (or
-    ``communicate``) sees the process end, however it ended."""
-
-    def __init__(self, args, workdir: Path, **kwargs):
-        super().__init__([*args, str(workdir)], **kwargs)
-        self.workdir = workdir
-
-    def wait(self, timeout=None):
-        code = super().wait(timeout)
-        shutil.rmtree(self.workdir, ignore_errors=True)
-        return code
-
-
-def start(checkout: Path):
-    """A worker on ``checkout``'s ``src/``; returns (send(case, index), facts, Worker),
+def start(checkout: Path, workdir: Path):
+    """A worker on ``checkout``'s ``src/`` that keeps its files in ``workdir``, a
+    directory the caller owns and removes; returns (send(case, index), facts, process),
     ``send`` returning a ``wait()`` for that reply; wait in the order sent.  A worker
     that ends without a reply stops the script, naming ``checkout`` and the request."""
-    proc = Worker([sys.executable, "-c", "import paired, sys; paired.serve(*sys.argv[1:])",
-                   str(checkout / "src")], Path(tempfile.mkdtemp(prefix="qisflow-paired-")),
-                  cwd=Path(__file__).parent,
-                  stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import paired, sys; paired.serve(*sys.argv[1:])",
+         str(checkout / "src"), str(workdir)],
+        cwd=Path(__file__).parent, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def reply(request: str):
         line = proc.stdout.readline()
@@ -136,14 +122,17 @@ def main(argv=None) -> int:
     if len(args.checkout) != 2:
         ap.error("give --checkout twice: A, then B")
     runs = {case: [] for case in WORKLOADS}
-    for generation in range(GENERATIONS):
-        workers = [start(c.resolve()) for c in args.checkout]
-        sides = [lambda case, index, send=w[0]: send(case, index)() for w in workers]
-        for case, generations in runs.items():
-            generations.append(time_pairs(sides, case, PAIRS))
-        for _, _, proc in workers:
-            proc.communicate()  # end of input: the worker returns
-        print(f"generation {generation + 1} of {GENERATIONS}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="qisflow-paired-") as tmp:
+        for generation in range(GENERATIONS):
+            workers = [start(c.resolve(), Path(tempfile.mkdtemp(dir=tmp))) for c in args.checkout]
+            sides = [lambda case, index, send=w[0]: send(case, index)() for w in workers]
+            try:
+                for case, generations in runs.items():
+                    generations.append(time_pairs(sides, case, PAIRS))
+            finally:
+                for _, _, proc in workers:
+                    proc.communicate()  # end of input: the worker returns
+            print(f"generation {generation + 1} of {GENERATIONS}", file=sys.stderr, flush=True)
     cases = {case: summarize(generations) for case, generations in runs.items()}
     for case, s in cases.items():
         print(f"{case}: B/A {s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f}, CI "

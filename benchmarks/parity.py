@@ -1,42 +1,12 @@
-"""Compare the CLI output of two checkouts on the perfbench inputs.
+"""Compare the CLI output of two checkouts on a corpus built from the perfbench inputs.
 
 Usage, from anywhere: python3 benchmarks/parity.py PARENT CHANGE
 
-For each benchmark seed in SEEDS it writes the problem files of
-``perfbench.inputs`` (taken from the checkout this script lives in) once, then
-sends each call to ``paired.py``'s worker on both checkouts before it reads
-either reply to the call before it, so the workers run at once, at most one call apart:
-
-- LP_PROBLEMS LP problems, each with ``solve-lp`` and ``solve-lp --simplex``,
-  and the first STRUCTURED_LP_PROBLEMS of them with both again in
-  ``--format structured``;
-- FLOW_PROBLEMS flow problems, each with ``--format csv`` and ``structured``;
-- ``verify all`` on VERIFY_SEEDS consecutive ``inputs.verify_seed`` values;
-
-and, once, RANDOM_INIT_SEEDS problems with ``init: random`` and seeds 0, 1, ...:
-the costs of the first LP problems of the first seed, each with ``solve-lp``
-and ``solve-lp --simplex``, and those of its first flow problems with ``flow``,
-the first SEED_FLAG_PROBLEMS of each kind again with a ``--seed`` that replaces the file's;
-the same costs, BARYCENTER_PROBLEMS of each kind, with the default init
-(``init`` left out, so the barycenter) and the same calls; the START_STOPS
-problems, which stop at t=0 (an init below ``boundary_floor``, a constant
-cost at the barycenter), and the INTEGER_ENTRIES problems, whose numbers are
-YAML integers (a cost with the default init; a matrix init with integer zeros
-in ``real`` and ``imag``), each with ``solve-lp``, ``solve-lp --simplex`` and
-``flow``: no other input reads an integer entry of ``c`` or ``init``; the first SCALED_PROBLEMS LP problems of the first seed with
-``c`` times each of COST_SCALES, each with ``solve-lp`` and ``solve-lp
---simplex``: at these scales a step of 1e-2 mostly leaves the domain or goes
-non-finite, so these calls reach the kernel's failure branches; and
-REAL_MATRIX_PROBLEMS ``init: matrix`` problems with a real symmetric,
-non-diagonal rho0 (``imag`` left out; the first flow problems of the first
-seed with their spectrum turned by a real orthogonal matrix, ``t_max``
-REAL_T_MAX, every step recorded), each with ``solve-lp`` and ``flow`` in CSV
-and structured format: no other input runs the matrix kernel in real
-arithmetic off the diagonal; and NEGATIVE_ZERO_PROBLEMS ``init: matrix``
-problems, diag(x0) of the first LP problems of the first seed with every
-off-diagonal entry -0.0 in ``real`` and ``imag`` (``t_max`` REAL_T_MAX, every
-step recorded), each with ``solve-lp`` and ``flow``: the only inputs on which
-the sign of a zero picks the matrix kernel's field.
+``write_calls`` writes each problem file once and names each call's output
+by one rule; its comments say why each class of inputs is in the corpus.
+Each call goes to ``paired.py``'s worker on both checkouts, which keeps its
+files in that checkout's output directory, before either reply to the call
+before it is read, so the workers run at once, at most one call apart.
 
 ``solve-lp`` and ``flow`` must agree in stdout, exit code and trajectory
 bytes, and in stderr when they exit nonzero.  ``verify`` must agree in exit
@@ -51,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import sys
 import tempfile
@@ -84,6 +55,18 @@ REAL_MATRIX_PROBLEMS = 10
 REAL_T_MAX = 0.2
 NEGATIVE_ZERO_PROBLEMS = 12
 
+# a problem file's runs, each (command, *flags)
+LP = (("solve-lp",), ("solve-lp", "--simplex"))
+FLOW = (("flow",),)
+MATRIX = (("solve-lp",), ("flow",))
+STRUCTURED = ("--format", "structured")
+
+
+def also(runs, *flags) -> list[tuple[str, ...]]:
+    """``runs``, then each run again with ``flags`` after its command."""
+    return [*runs, *((command, *flags, *rest) for command, *rest in runs)]
+
+
 def with_init(text: str, init: str) -> str:
     """A problem's text with the YAML lines ``init`` in place of its init."""
     head, _, rest = text.partition("init:\n")
@@ -98,88 +81,60 @@ def write_calls(workdir: Path) -> list[tuple[str, list[str], str | None]]:
     from perfbench import inputs
 
     calls = []
-    for seed in SEEDS:
-        for i in range(LP_PROBLEMS):
-            path = workdir / f"lp-{seed}-{i}.yaml"
-            path.write_text(inputs.lp_problem(seed, i).text())
-            formats = [[]]
-            if i < STRUCTURED_LP_PROBLEMS:
-                formats.append(["--format", "structured"])
-            for flag in ([], ["--simplex"]):
-                for fmt in formats:
-                    ext = "yaml" if fmt else "csv"
-                    name = f"lp-{seed}-{i}{'-simplex' if flag else ''}.{ext}"
-                    calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
-                                               *fmt, *flag], name))
-        for i in range(FLOW_PROBLEMS):
-            path = workdir / f"flow-{seed}-{i}.yaml"
-            path.write_text(inputs.flow_problem(seed, i).text())
-            for fmt, ext in (("csv", "csv"), ("structured", "yaml")):
-                name = f"flow-{seed}-{i}.{ext}"
-                calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name,
-                                       "--format", fmt], name))
-        for i in range(VERIFY_SEEDS):
-            calls.append(("verify", ["verify", "all", "--seed",
-                                     str(inputs.verify_seed(seed, i))], None))
-    texts, seed_flags = {}, {}
-    for i in range(RANDOM_INIT_SEEDS):
-        init = f"init: random\nseed: {i}\n"
-        texts[f"lp-random-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), init)
-        texts[f"flow-random-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), init)
-        if i < SEED_FLAG_PROBLEMS:
-            seed_flags[f"lp-random-{i}"] = seed_flags[f"flow-random-{i}"] = [
-                "--seed", str(RANDOM_INIT_SEEDS + i)]
-    for i in range(BARYCENTER_PROBLEMS):
-        texts[f"lp-barycenter-{i}"] = with_init(inputs.lp_problem(SEEDS[0], i).text(), "")
-        texts[f"flow-barycenter-{i}"] = with_init(inputs.flow_problem(SEEDS[0], i).text(), "")
-    for stem, text in {**START_STOPS, **INTEGER_ENTRIES}.items():
-        texts[f"lp-{stem}"] = texts[f"flow-{stem}"] = text
-    for stem, text in texts.items():
+    lp = functools.partial(inputs.lp_problem, SEEDS[0])
+    flow = functools.partial(inputs.flow_problem, SEEDS[0])
+
+    def problem(stem: str, text: str, runs) -> None:
+        """Write ``text`` to ``{stem}.yaml`` and add one call per run, its
+        output named by the stem and the run's words."""
         path = workdir / f"{stem}.yaml"
         path.write_text(text)
-        runs = [("", [])]
-        if stem in seed_flags:
-            runs.append(("-seed", seed_flags[stem]))
-        for tag, seed in runs:
-            if stem.startswith("flow-"):
-                name = f"{stem}{tag}.csv"
-                calls.append(("flow", ["flow", str(path), "-o", "{out}/" + name, *seed], name))
-                continue
-            for flag in ([], ["--simplex"]):
-                name = f"{stem}{tag}{'-simplex' if flag else ''}.csv"
-                calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
-                                           *seed, *flag], name))
-    for scale in COST_SCALES:
+        for command, *flags in runs:
+            name = "-".join(word.lstrip("-") for word in (stem, command, *flags))
+            name += ".yaml" if "structured" in flags else ".csv"
+            calls.append((command, [command, str(path), "-o", "{out}/" + name, *flags], name))
+
+    for seed in SEEDS:  # the benchmark's own inputs
+        for i in range(LP_PROBLEMS):
+            problem(f"lp-{seed}-{i}", inputs.lp_problem(seed, i).text(),
+                    also(LP, *STRUCTURED) if i < STRUCTURED_LP_PROBLEMS else LP)
+        for i in range(FLOW_PROBLEMS):
+            problem(f"flow-{seed}-{i}", inputs.flow_problem(seed, i).text(),
+                    also(FLOW, *STRUCTURED))
+        calls += [("verify", ["verify", "all", "--seed", str(inputs.verify_seed(seed, i))], None)
+                  for i in range(VERIFY_SEEDS)]
+    # init: random; the first problems again with a --seed, which replaces the file's
+    for i in range(RANDOM_INIT_SEEDS):
+        init, again = f"init: random\nseed: {i}\n", i < SEED_FLAG_PROBLEMS
+        seed = ("--seed", str(RANDOM_INIT_SEEDS + i))
+        problem(f"lp-random-{i}", with_init(lp(i).text(), init), also(LP, *seed) if again else LP)
+        problem(f"flow-random-{i}", with_init(flow(i).text(), init),
+                also(FLOW, *seed) if again else FLOW)
+    for i in range(BARYCENTER_PROBLEMS):  # init left out: the barycenter
+        problem(f"lp-barycenter-{i}", with_init(lp(i).text(), ""), LP)
+        problem(f"flow-barycenter-{i}", with_init(flow(i).text(), ""), FLOW)
+    for stem, text in START_STOPS.items():  # stop at t=0: an init below the floor, a constant c
+        problem(stem, text, [*LP, *FLOW])
+    for stem, text in INTEGER_ENTRIES.items():  # no other input reads an integer c or init entry
+        problem(stem, text, [*LP, *FLOW])
+    for scale in COST_SCALES:  # a step of 1e-2 mostly leaves the domain or overflows
         for i in range(SCALED_PROBLEMS):
-            problem = inputs.lp_problem(SEEDS[0], i)
-            path = workdir / f"lp-x{scale}-{i}.yaml"
-            path.write_text(dataclasses.replace(problem, c=problem.c * scale).text())
-            for flag in ([], ["--simplex"]):
-                name = f"lp-x{scale}-{i}{'-simplex' if flag else ''}.csv"
-                calls.append(("solve-lp", ["solve-lp", str(path), "-o", "{out}/" + name,
-                                           *flag], name))
-    for i in range(REAL_MATRIX_PROBLEMS):
-        problem = inputs.flow_problem(SEEDS[0], i)
-        q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((problem.m, problem.m)))
-        rho = (q * np.linalg.eigvalsh(problem.rho0)) @ q.T
-        text = dataclasses.replace(problem, rho0=rho / np.trace(rho), t_max=REAL_T_MAX).text()
-        path = workdir / f"real-{i}.yaml"
-        path.write_text("".join(line for line in text.splitlines(keepends=True)
-                                if not line.startswith("    imag:")))
-        for command in ("solve-lp", "flow"):
-            for fmt, ext in (("csv", "csv"), ("structured", "yaml")):
-                name = f"real-{i}-{command}.{ext}"
-                calls.append((command, [command, str(path), "-o", "{out}/" + name,
-                                        "--format", fmt], name))
-    for i in range(NEGATIVE_ZERO_PROBLEMS):
-        problem = inputs.lp_problem(SEEDS[0], i)
-        rho = np.full((problem.m, problem.m), complex(-0.0, -0.0))
-        np.fill_diagonal(rho, problem.x0)
-        path = workdir / f"negzero-{i}.yaml"
-        path.write_text(inputs.FlowProblem(problem.m, problem.c, rho, t_max=REAL_T_MAX).text())
-        for command in ("solve-lp", "flow"):
-            name = f"negzero-{i}-{command}.csv"
-            calls.append((command, [command, str(path), "-o", "{out}/" + name], name))
+            base = lp(i)
+            problem(f"lp-x{scale}-{i}", dataclasses.replace(base, c=base.c * scale).text(), LP)
+    for i in range(REAL_MATRIX_PROBLEMS):  # the only real matrix-kernel runs off the diagonal
+        base = flow(i)
+        q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((base.m, base.m)))
+        rho = (q * np.linalg.eigvalsh(base.rho0)) @ q.T
+        text = dataclasses.replace(base, rho0=rho / np.trace(rho), t_max=REAL_T_MAX).text()
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("    imag:"))
+        problem(f"real-{i}", text, also(MATRIX, *STRUCTURED))
+    for i in range(NEGATIVE_ZERO_PROBLEMS):  # the only inputs where a zero's sign picks the field
+        base = lp(i)
+        rho = np.full((base.m, base.m), complex(-0.0, -0.0))
+        np.fill_diagonal(rho, base.x0)
+        problem(f"negzero-{i}", inputs.FlowProblem(base.m, base.c, rho, t_max=REAL_T_MAX).text(),
+                MATRIX)
     return calls
 
 
@@ -236,7 +191,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="qisflow-parity-") as tmp:
         calls = write_calls(Path(tmp))
         outdirs = [Path(tempfile.mkdtemp(prefix="out", dir=tmp)) for _ in checkouts]
-        workers, results = [paired.start(c) for c in checkouts], []
+        workers, results = [paired.start(c, d) for c, d in zip(checkouts, outdirs)], []
         sent = ([send("cli", [a.replace("{out}", str(outdir)) for a in argv])
                  for (send, _, _), outdir in zip(workers, outdirs)] for _, argv, _ in calls)
         try:  # pairwise sends call i + 1 to both workers before a reply to call i is read

@@ -153,37 +153,42 @@ def integrate_simplex(x0, c, p: IntegrationParams | None = None) -> FlowTrajecto
 def _integrate(y, c, p, advance, lowest, potential, stationarity, dtype) -> FlowTrajectory:
     """Drive ``advance`` in chunks of ``p.record_every`` steps, recording a
     ``dtype`` copy at t=0 and after each chunk, until the boundary floor,
-    stationarity or the horizon; a step that goes non-finite or leaves the
-    domain raises ``NumericError``.  The per-record checks read the recorded
+    stationarity (a norm at most ``p.grad_tol`` times max|c|, so that a cost
+    scaled by a power of two stops on the same record) or the horizon; a step
+    that goes non-finite or leaves the domain raises ``NumericError``.  That
+    error reports every non-finite value, so numpy's overflow and invalid-value
+    warnings are off in the loop.  The per-record checks read the recorded
     copy."""
     traj = FlowTrajectory()
     total = max(int(round(p.t_max / p.step)), 1)
+    scale = float(np.max(np.abs(c)))
     k, t = 0, 0.0
     status = _kernels.STATUS_BOUNDARY if lowest(y) < p.boundary_floor else _kernels.STATUS_OK
-    while True:
-        state = y.astype(dtype)
-        traj._record(t, state, float(potential(state, c)))
-        if status == _kernels.STATUS_BOUNDARY:
-            traj.stop_reason = STOP_BOUNDARY
-            return traj
-        if stationarity(state, c) <= p.grad_tol:
-            traj.stop_reason = STOP_STATIONARY
-            return traj
-        if k >= total:
-            traj.stop_reason = STOP_TMAX
-            return traj
-        y, done, status = advance(y, c, p.step, min(p.record_every, total - k),
-                                  p.boundary_floor)
-        k += done
-        t = k * p.step
-        if status == _kernels.STATUS_NONFINITE:
-            raise NumericError(
-                f"non-finite entries at t={t:.6g}; returning last good state",
-                last_state=y.astype(dtype),
-            )
-        if status == _kernels.STATUS_LEFT_DOMAIN:
-            raise NumericError(
-                f"step {p.step:g} left the domain after t={t:.6g}; it is likely too "
-                f"large for the cost scale (max |c| = {np.max(np.abs(c)):g})",
-                last_state=y.astype(dtype),
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            state = y.astype(dtype)
+            traj._record(t, state, float(potential(state, c)))
+            if status == _kernels.STATUS_BOUNDARY:
+                traj.stop_reason = STOP_BOUNDARY
+                return traj
+            if stationarity(state, c) <= p.grad_tol * scale:
+                traj.stop_reason = STOP_STATIONARY
+                return traj
+            if k >= total:
+                traj.stop_reason = STOP_TMAX
+                return traj
+            y, done, status = advance(y, c, p.step, min(p.record_every, total - k),
+                                      p.boundary_floor)
+            k += done
+            t = k * p.step
+            if status == _kernels.STATUS_NONFINITE:
+                raise NumericError(
+                    f"non-finite entries at t={t:.6g}; returning last good state",
+                    last_state=y.astype(dtype),
+                )
+            if status == _kernels.STATUS_LEFT_DOMAIN:
+                raise NumericError(
+                    f"step {p.step:g} left the domain after t={t:.6g}; it is likely too "
+                    f"large for the cost scale (max |c| = {scale:g})",
+                    last_state=y.astype(dtype),
+                )

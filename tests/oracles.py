@@ -11,7 +11,9 @@ are the matrix kernel's flow field and trace norm as first written, with
 dense field on every state, diagonal ones too.  ``linear_field`` and
 ``linear_flow`` are the SLD gradient flow of the linear potential tr(C rho)
 and its closed form, an exact answer for the RK4 loop on dense,
-non-commuting states.  No part of the package calls them.
+non-commuting states.  ``lifted_flow`` integrates the SLD gradient flow of
+K(rho) = tr(C rho^2)/2 as a group action, with arithmetic of its own: a
+dense oracle for ``integrate_matrix``.  No part of the package calls them.
 """
 
 import numpy as np
@@ -116,3 +118,36 @@ def linear_flow(rho0, c, t) -> np.ndarray:
     d = np.exp(-0.5 * t * np.asarray(c))
     rho = d[:, None] * rho0 * d
     return rho / np.trace(rho).real
+
+
+def _lifted_generator(rho, c, h) -> np.ndarray:
+    """-hA/2, with A = M - tr(rho M) I and M = (C rho + rho C)/2: the lift of
+    the flow field is Phi' = -A Phi/2, with rho = Phi Phi^dagger."""
+    m_op = 0.5 * (c[:, None] * rho + rho * c)
+    return -0.5 * h * (m_op - np.trace(rho @ m_op).real * np.eye(len(c)))
+
+
+def _congruence(f, rho) -> np.ndarray:
+    """e^f rho e^f for a Hermitian f, by its eigendecomposition."""
+    w, v = np.linalg.eigh(f)
+    e = (v * np.exp(w)) @ v.conj().T
+    return e @ rho @ e
+
+
+def lifted_flow(rho0, c, h, nsteps) -> np.ndarray:
+    """The state after ``nsteps`` steps h of the gradient flow of tr(C rho^2)/2,
+    each a 4th-order commutator-free Lie-group step (CF4; Celledoni, Marthinsen
+    and Owren, 2003) of the congruence rho -> e^{-hA/2} rho e^{-hA/2}.  Of its
+    two last exponentials, the one that weights the first stage F1 by 1/4 acts
+    first; in the other order the step is 2nd order.  The trace is not
+    renormalized: it stays 1 to the order of the step."""
+    rho, c = np.asarray(rho0, dtype=np.complex128), np.asarray(c, dtype=np.float64)
+    for _ in range(nsteps):
+        f1 = _lifted_generator(rho, c, h)
+        rho2 = _congruence(f1 / 2, rho)
+        f2 = _lifted_generator(rho2, c, h)
+        f3 = _lifted_generator(_congruence(f2 / 2, rho), c, h)
+        f4 = _lifted_generator(_congruence(f3 - f1 / 2, rho2), c, h)
+        rho = _congruence(f1 / 4 + (f2 + f3) / 6 - f4 / 12, rho)
+        rho = _congruence(-f1 / 12 + (f2 + f3) / 6 + f4 / 4, rho)
+    return rho

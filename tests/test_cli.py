@@ -457,6 +457,16 @@ class TestSolveLp:
         assert lines["vertex"] in ("1", "2")
         assert float(lines["vertex_objective"]) == 1.0
 
+    @pytest.mark.parametrize("flags", [[], ["--simplex"]], ids=["matrix", "simplex"])
+    def test_tiny_costs_give_the_unit_scale_vertex(self, tmp_path, capsys, flags):
+        """grad_tol is relative to max|c|: at the barycenter a cost of scale 1e-10
+        is not stationary, and the run moves toward the vertex of c = [1, -2, 3]."""
+        prob = write_problem(tmp_path / "p.yaml", {"m": 3, "c": [1.0e-10, -2.0e-10, 3.0e-10]})
+        assert main(["solve-lp", prob, "-o", str(tmp_path / "t.csv"), *flags]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (lines["vertex"], lines["stop_reason"], lines["t_final"]) == (
+            "2", "t_max_reached", "100.0")
+
     def test_simplex_flag_matches_matrix_diagonal(self, tmp_path, capsys):
         doc = {"m": 3, "c": [-2.0, -0.5, 1.0], "init": {"diagonal": [0.3, 0.4, 0.3]}}
         prob = write_problem(tmp_path / "p.yaml", doc)
@@ -809,10 +819,7 @@ class TestExitCodes:
         assert ints == floats
 
     @pytest.mark.parametrize("command, doc", [
-        pytest.param(["solve-lp"], {"m": 2, "c": [1e5, -1e5],
-                                    "params": {"step": 1e10, "t_max": 1e12}},
-                     marks=pytest.mark.filterwarnings(
-                         "ignore:overflow encountered:RuntimeWarning")),
+        (["solve-lp"], {"m": 2, "c": [1e5, -1e5], "params": {"step": 1e10, "t_max": 1e12}}),
         # one default-size step leaves the domain at this cost scale
         (["solve-lp"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
         (["solve-lp", "--simplex"], {"m": 4, "c": [3000, -1000, -1500, 2000]}),
@@ -824,6 +831,20 @@ class TestExitCodes:
         out.write_text("an earlier run's trajectory\n")
         assert main([*command, prob, "-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, init", [
+        (["solve-lp"], ""),
+        (["solve-lp", "--simplex"], ""),
+        (["flow"], "init: {matrix: {real: [[0.5, 0.1, 0], [0.1, 0.3, 0], [0, 0, 0.2]]}}\n"),
+    ], ids=["solve-lp", "solve-lp-simplex", "flow-matrix"])
+    def test_overflow_prints_only_the_numeric_failure(self, tmp_path, capsys, command, init):
+        """numpy's overflow warnings do not reach stderr: the error line reports
+        them, so stderr does not depend on the install path or line numbers."""
+        prob = tmp_path / "p.yaml"
+        prob.write_text(f"m: 3\nc: [1.0e+308, -1.7e+308, 1.2e+308]\n{init}")
+        assert main([command[0], str(prob), "-o", str(tmp_path / "t.csv"), *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "numeric failure: non-finite entries at t=0; returning last good state\n")
 
     @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
                              ids=["solve-lp", "solve-lp-simplex", "flow"])

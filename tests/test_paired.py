@@ -4,6 +4,7 @@ each of the last tests starts once as a subprocess."""
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -75,7 +76,7 @@ def test_main_times_every_benchmark_workload_in_its_order(monkeypatch, tmp_path)
         def communicate(self):
             pass
 
-    def start(checkout):
+    def start(checkout, workdir):
         def send(case, index):
             sent.append(case)
             return lambda: {"s": 0.02, "failed": None}
@@ -93,36 +94,37 @@ def test_main_times_every_benchmark_workload_in_its_order(monkeypatch, tmp_path)
     assert len(sent) == 2 * 2 * len(declared) * (paired.WARMUP + 2)
 
 
-def worker_replies(*requests):
-    """A worker on this checkout: its replies to ``requests``, each (case, index)."""
-    send, _, proc = paired.start(ROOT)
+def worker_replies(workdir, *requests):
+    """A worker on this checkout, its files in ``workdir``: its replies to
+    ``requests``, each (case, index)."""
+    send, _, proc = paired.start(ROOT, workdir)
     try:
         return [send(*request)() for request in requests]
     finally:
         proc.communicate(timeout=60)
 
 
-def test_worker_runs_cli_calls():
+def test_worker_runs_cli_calls(tmp_path):
     [(code, stdout, stderr)] = worker_replies(
-        ("cli", ["verify", "all", "--seed", "0", "--count", "1"]))
+        tmp_path, ("cli", ["verify", "all", "--seed", "0", "--count", "1"]))
     assert code == 0 and stderr == ""
     assert len(stdout.splitlines()) == 7 and stdout.count(" pass\n") == 7
 
 
-def test_worker_reports_a_usage_error_as_exit_1():
-    [(code, stdout, stderr)] = worker_replies(("cli", ["verify"]))
+def test_worker_reports_a_usage_error_as_exit_1(tmp_path):
+    [(code, stdout, stderr)] = worker_replies(tmp_path, ("cli", ["verify"]))
     assert code == 1 and stdout == ""
     assert stderr.startswith("usage: qisflow verify") and "required: suite" in stderr
 
 
-def test_worker_that_dies_mid_run_names_the_checkout_and_the_request():
+def test_worker_that_dies_mid_run_names_the_checkout_and_the_request(tmp_path):
     # a case that is not a workload crashes the worker
     with pytest.raises(SystemExit, match=re.escape(f"{ROOT} exited (1) on nope 0")):
-        worker_replies(("cli", ["verify", "--help"]), ("nope", 0))
+        worker_replies(tmp_path, ("cli", ["verify", "--help"]), ("nope", 0))
 
 
-def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait():
-    send, _, proc = paired.start(ROOT)
+def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait(tmp_path):
+    send, _, proc = paired.start(ROOT, tmp_path)
     send("nope", 0)  # not a workload: the worker crashes
     proc.wait(timeout=60)
     wait = send("cli", ["verify", "--help"])  # the closed pipe raises nothing here
@@ -131,19 +133,35 @@ def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait():
         wait()
 
 
-def test_a_worker_that_exits_hard_leaves_no_work_directory():
-    """A killed worker runs none of its own clean-up; waiting on it removes its
-    work directory, files and all."""
-    send, _, proc = paired.start(ROOT)
-    assert send("lp-simplex", 0)()["failed"] is None  # its problem and trajectory files
-    assert any(proc.workdir.iterdir())
-    proc.kill()
-    assert proc.wait(timeout=60) != 0
-    assert not proc.workdir.exists()
+@pytest.mark.parametrize("caller", ["paired", "parity"])
+def test_a_run_whose_worker_exits_hard_stops_and_leaves_no_work_directory(
+        tmp_path, monkeypatch, caller):
+    """A worker that exits hard runs none of its own clean-up: its run stops, naming
+    the checkout and the call, and removes every directory it made, the one in which
+    that worker wrote its files included.  Checkout B's ``cli.main`` calls ``os._exit``
+    on its first call, after the worker wrote that call's problem file."""
+    hard = tmp_path / "hard"
+    (hard / "src" / "qisflow").mkdir(parents=True)
+    (hard / "src" / "qisflow" / "__init__.py").write_text('BACKEND = "hard exit"\n')
+    (hard / "src" / "qisflow" / "cli.py").write_text(
+        "import os\n\n\ndef main(argv=None):\n    os._exit(9)\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(paired, "RECORD", tmp_path / "record.json")
+    monkeypatch.setattr(paired, "GENERATIONS", 1)
+    if caller == "paired":
+        run, argv = paired.main, ["--checkout", str(ROOT), "--checkout", str(hard)]
+        call = "on lp-matrix 0"
+    else:
+        import parity
+        run, argv = parity.main, [str(ROOT), str(hard)]
+        call = "on cli ['solve-lp', "
+    with pytest.raises(SystemExit, match=re.escape(f"{hard} exited (9) {call}")):
+        run(argv)
+    assert [path.name for path in tmp_path.iterdir()] == ["hard"]
 
 
 def test_worker_refuses_a_checkout_whose_src_does_not_hold_qisflow(tmp_path, monkeypatch):
     # this checkout's src on PYTHONPATH stands in for an installed copy
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     with pytest.raises(SystemExit, match=re.escape(f"{tmp_path} exited (1) before it started")):
-        paired.start(tmp_path)
+        paired.start(tmp_path, tmp_path)

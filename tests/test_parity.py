@@ -4,6 +4,7 @@ calls go to two fake workers, one call ahead of the replies."""
 
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,16 @@ def compare(tmp_path, call, a, b, files=SAME):
 def verify_reply(lines):
     """A ``verify`` reply that prints ``lines``."""
     return [0, "".join(line + "\n" for line in lines), ""]
+
+
+def test_the_corpus_names_each_output_once_and_reads_only_files_it_wrote(tmp_path):
+    calls = parity.write_calls(tmp_path)
+    assert Counter(kind for kind, _, _ in calls) == {"solve-lp": 510, "flow": 131, "verify": 120}
+    names = [name for kind, _, name in calls if kind != "verify"]
+    assert len(set(names)) == len(names)
+    for kind, argv, name in calls:
+        assert (kind, name) == ("verify", None) or (
+            argv[:4] == [kind, argv[1], "-o", "{out}/" + name] and Path(argv[1]).is_file())
 
 
 def test_identical_replies_agree(tmp_path):
@@ -115,7 +126,7 @@ def test_a_dead_worker_stops_the_run_on_its_call(tmp_path, monkeypatch, dead):
     k, log = 4, []
     calls = [("verify", ["verify", "all", "--seed", str(i)], None) for i in range(10)]
     monkeypatch.setattr(parity, "write_calls", lambda workdir: calls)
-    monkeypatch.setattr(parity.paired, "start", lambda checkout: fake_worker(
+    monkeypatch.setattr(parity.paired, "start", lambda checkout, workdir: fake_worker(
         checkout, log, k if checkout.name == dead else None))
     with pytest.raises(SystemExit, match=re.escape(
             f"{tmp_path / dead} exited (7) on cli {calls[k][1]}")):
@@ -134,7 +145,8 @@ def test_every_call_is_waited_for_once_in_order(tmp_path, monkeypatch):
     and each call's two replies are compared."""
     log, calls = [], [("verify", ["verify", "all", "--seed", str(i)], None) for i in range(3)]
     monkeypatch.setattr(parity, "write_calls", lambda workdir: calls)
-    monkeypatch.setattr(parity.paired, "start", lambda checkout: fake_worker(checkout, log))
+    monkeypatch.setattr(parity.paired, "start",
+                        lambda checkout, workdir: fake_worker(checkout, log))
     assert parity.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert [(event, i) for event, side, i in log if side == "a"] == [
         ("send", 0), ("send", 1), ("wait", 0), ("send", 2), ("wait", 1), ("wait", 2),
