@@ -137,9 +137,9 @@ def test_a_request_sent_to_an_ended_worker_is_reported_by_its_wait(tmp_path):
 def test_a_run_whose_worker_exits_hard_stops_and_leaves_no_work_directory(
         tmp_path, monkeypatch, caller):
     """A worker that exits hard runs none of its own clean-up: its run stops, naming
-    the checkout and the call, and removes every directory it made, the one in which
-    that worker wrote its files included.  Checkout B's ``cli.main`` calls ``os._exit``
-    on its first call, after the worker wrote that call's problem file."""
+    the checkout and the call, and removes every directory it made, the workers'
+    included.  Checkout B's ``cli.main`` calls ``os._exit`` on its first call; under
+    ``paired.main`` its worker has written that call's problem file by then."""
     hard = tmp_path / "hard"
     (hard / "src" / "qisflow").mkdir(parents=True)
     (hard / "src" / "qisflow" / "__init__.py").write_text('BACKEND = "hard exit"\n')
