@@ -22,10 +22,12 @@ checkout's run on each seed, the median and quartiles of those ratios, and
 on how many seeds it was the better of the two (by the metric's "better" in
 ``BENCHMARK.json``).  A pair of runs on one seed shares the machine's state,
 so the ratios show a change that drift between seeds hides in the medians;
-they are printed too.  Each such metric also gets the verdict
-``within_bound``, stored and printed: its median is not behind the first
-checkout's by more than the metric's ``BENCHMARK.json`` bound.  A gain is
-claimed from a ``paired.py`` CI that leaves out 1, not from these runs.
+they are printed too.  Each such metric also gets two verdicts, stored and
+printed: ``within_bound``, its median is not behind the first checkout's by
+more than the metric's ``BENCHMARK.json`` bound; and ``unresolved``, it is
+within its bound but either checkout's runs spread too widely to tell (see
+``unresolved``).  A gain is claimed from a ``paired.py`` CI that leaves out
+1, not from these runs.
 """
 
 from __future__ import annotations
@@ -134,6 +136,16 @@ def within_bound(first: dict, later: dict, better: str, bound: float) -> bool:
     return -ahead <= bound * abs(first["median"])
 
 
+def unresolved(first: dict, later: dict, better: str, bound: float) -> bool:
+    """Whether a metric within its bound is too spread to read: either checkout's
+    middle half (q3 - q1) is wider than ``bound`` times ``first``'s median, and
+    not every run of ``later`` beats every run of ``first``."""
+    wide = max(s["q3"] - s["q1"] for s in (first, later)) > bound * abs(first["median"])
+    sign = 1 if better == "higher" else -1
+    beats = min(sign * v for v in later["runs"]) > max(sign * v for v in first["runs"])
+    return within_bound(first, later, better, bound) and wide and not beats
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
@@ -165,11 +177,13 @@ def main(argv=None) -> int:
                 base = first[workload]["metrics"][name]
                 pairs = metric["ratio_to_first"] = ratio_to_first(base, metric, better)
                 within = within_bound(base, metric, better, bound)
-                metric["verdicts"] = {"within_bound": within}
+                unsure = unresolved(base, metric, better, bound)
+                metric["verdicts"] = {"within_bound": within, "unresolved": unsure}
                 print(f"{checkout.name} {workload} {name}: ratio to {checkouts[0].name} "
                       f"{pairs['median']:.3f} (quartiles {pairs['q1']:.3f}-{pairs['q3']:.3f}), "
                       f"better on {pairs['better_on']} of {len(seeds)} seeds; "
-                      f"{'within' if within else 'OUTSIDE'} bound {bound}")
+                      f"{'within' if within else 'OUTSIDE'} bound {bound}"
+                      + ("; unresolved" if unsure else ""))
 
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
     append(RECORD, [

@@ -1,8 +1,9 @@
 """Hot integration kernels: one fixed-step RK4 loop shared by both flows.
 
 Step status codes: 0 = completed all steps, 1 = boundary floor crossed,
-2 = non-finite values, 3 = a step left the domain (lowest eigenvalue or
-coordinate <= 0 after renormalization; the last good state is returned).
+2 = non-finite values, 3 = a step left the domain (a finite step whose trace
+or sum is <= 0, or whose lowest eigenvalue or coordinate is <= 0 after
+renormalization; the last good state is returned).
 
 A simplex step, and much of a small matrix step, costs numpy call overhead,
 not arithmetic, so the reductions are called as ufunc methods: the same bits
@@ -61,7 +62,7 @@ def _advance(y, c, h, nsteps, floor, rhs, lowest, norm):
             return y, i, STATUS_NONFINITE
         s = norm(yn)
         if s <= 0.0:
-            return y, i, STATUS_NONFINITE
+            return y, i, STATUS_LEFT_DOMAIN
         yn = yn / s
         low = lowest(yn)
         if low <= 0.0:

@@ -58,8 +58,12 @@ def simplex_point_from(x: np.ndarray) -> np.ndarray:
 
 
 def simplex_tangent_from(u: np.ndarray) -> np.ndarray:
-    """Remove the mean of each vector u (..., m)."""
-    return u - u.mean(axis=-1, keepdims=True)
+    """Remove the mean of each vector u (..., m), then set its last entry to
+    minus the float sum of the others, so that the entries sum to 0 in float
+    as well: a long finite-difference step along it stays on the simplex."""
+    v = u - u.mean(axis=-1, keepdims=True)
+    v[..., -1] = -v[..., :-1].sum(axis=-1)
+    return v
 
 
 def density_from(x: np.ndarray, z: np.ndarray) -> np.ndarray:

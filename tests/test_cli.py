@@ -467,6 +467,20 @@ class TestSolveLp:
         assert (lines["vertex"], lines["stop_reason"], lines["t_final"]) == (
             "2", "t_max_reached", "100.0")
 
+    @pytest.mark.parametrize("flags", [[], ["--simplex"]], ids=["matrix", "simplex"])
+    @pytest.mark.parametrize("scale", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+    def test_every_cost_scale_names_vertex_2_or_exits_2(self, tmp_path, capsys, scale, flags):
+        """c = [1, -2, 3] times 1e-10 to 1e6 at default params names vertex 2, or
+        exits 2 where the step is too large for the cost scale; no run names
+        another vertex with exit 0.  Up to 1e2 every run exits 0."""
+        prob = write_problem(tmp_path / "p.yaml", {"m": 3, "c": [scale, -2 * scale, 3 * scale]})
+        code = main(["solve-lp", prob, "-o", str(tmp_path / "t.csv"), *flags])
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        if scale <= 1e2 or code == 0:
+            assert (code, lines["vertex"]) == (0, "2")
+        else:
+            assert code == 2
+
     def test_simplex_flag_matches_matrix_diagonal(self, tmp_path, capsys):
         doc = {"m": 3, "c": [-2.0, -0.5, 1.0], "init": {"diagonal": [0.3, 0.4, 0.3]}}
         prob = write_problem(tmp_path / "p.yaml", doc)
@@ -845,6 +859,19 @@ class TestExitCodes:
         assert main([command[0], str(prob), "-o", str(tmp_path / "t.csv"), *command[1:]]) == 2
         assert capsys.readouterr() == (
             "", "numeric failure: non-finite entries at t=0; returning last good state\n")
+
+    @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
+                             ids=["solve-lp", "solve-lp-simplex", "flow"])
+    def test_a_finite_step_that_sums_below_zero_leaves_the_domain(self, tmp_path, capsys,
+                                                                  command):
+        """From the barycenter the first step's entries are finite and sum to
+        about -7.9e28: the step left the domain; no entry is non-finite."""
+        prob = tmp_path / "p.yaml"
+        prob.write_text("m: 3\nc: [8216.0, 3304.0, -13032.0]\n")
+        assert main([command[0], str(prob), "-o", str(tmp_path / "t.csv"), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", "numeric failure: step 0.01 left the domain after "
+                                       "t=0; it is likely too large for the cost scale "
+                                       "(max |c| = 13032)\n")
 
     @pytest.mark.parametrize("command", [["solve-lp"], ["solve-lp", "--simplex"], ["flow"]],
                              ids=["solve-lp", "solve-lp-simplex", "flow"])

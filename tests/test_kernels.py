@@ -21,6 +21,8 @@ from oracles import dense_advance_matrix, trace_field_K, trace_matrix_norm
 
 # One RK4 step of size 1e-2 at this cost scale overshoots out of the domain.
 OVERSHOOT_C = np.array([3000.0, -1000.0, -1500.0, 2000.0])
+# Costs near the float maximum: the first step from the barycenter overflows.
+OVERFLOW_C = np.array([1.0e308, -1.7e308, 1.2e308])
 
 
 class TestRhs:
@@ -73,7 +75,7 @@ def reference_advance_simplex(x, c, h, nsteps, floor):
             return x, i, STATUS_NONFINITE
         s = np.sum(xn)
         if s <= 0.0:
-            return x, i, STATUS_NONFINITE
+            return x, i, STATUS_LEFT_DOMAIN
         xn = xn / s
         low = np.min(xn)
         if low <= 0.0:
@@ -103,7 +105,8 @@ class TestAdvance:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_simplex_matches_reference_step(self):
         statuses = set()
-        for x, c, h, nsteps, floor in simplex_cases(12, 240):
+        overflow = (np.full(3, 1.0 / 3.0), OVERFLOW_C, 1e-2, 10, 1e-12)
+        for x, c, h, nsteps, floor in [*simplex_cases(12, 240), overflow]:
             got, steps, status = advance_simplex(x, c, h, nsteps, floor)
             want, want_steps, want_status = reference_advance_simplex(x, c, h, nsteps, floor)
             assert np.array_equal(got, want)

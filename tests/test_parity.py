@@ -50,17 +50,23 @@ def test_identical_replies_agree(tmp_path):
     assert compare(tmp_path, LP, [0, "records: 5\n", ""], [0, "records: 5\n", ""]) == ([], [])
 
 
-@pytest.mark.parametrize("a, b, files, expected", [
-    ([0, "records: 5\n", ""], [2, "records: 5\n", ""], SAME, "exit code 0 -> 2"),
-    ([0, "records: 5\n", ""], [0, "records = 5\n", ""], SAME, "stdout differs"),
-    ([2, "", "t=0.1 left the domain\n"], [2, "", "t=0.2 left the domain\n"], SAME,
-     "stderr differs"),
-    ([0, "", ""], [0, "", ""], ("t,x\n", None), "trajectory lp.csv differs"),
-    ([0, "", ""], [0, "", ""], ("t,x\n", "t,y\n"), "trajectory lp.csv differs"),
-], ids=["exit-code", "stdout", "stderr-on-failure", "trajectory-missing", "trajectory-bytes"])
-def test_run_differences_fail(tmp_path, a, b, files, expected):
-    failures, changes = compare(tmp_path, LP, a, b, files)
-    assert failures == [f"solve-lp lp.yaml --simplex: {expected}"] and changes == []
+@pytest.mark.parametrize("call, a, b, files, expected", [
+    (LP, [0, "records: 5\n", ""], [2, "records: 5\n", ""], SAME, "exit code 0 -> 2"),
+    (LP, [0, "records: 5\n", ""], [0, "records = 5\n", ""], SAME,
+     "records: 5 -> records = 5"),
+    (LP, [0, "records: 5\n", ""], [0, "records: 5", ""], SAME, "records: 5 -> records: 5"),
+    (LP, [2, "", "t=0.1 left the domain\n"], [2, "", "t=0.2 left the domain\n"], SAME,
+     "t=0.1 left the domain -> t=0.2 left the domain"),
+    (VERIFY, [1, "", "error: count 0\n"], [1, "", "error: count -1\n"], SAME,
+     "error: count 0 -> error: count -1"),
+    (LP, [0, "", ""], [0, "", ""], ("t,x\n", None), "trajectory differs"),
+    (LP, [0, "", ""], [0, "", ""], ("t,x\n", "t,y\n"), "trajectory differs"),
+], ids=["exit-code", "stdout", "stdout-line-end", "stderr-on-failure",
+        "verify-stderr-on-failure", "trajectory-missing", "trajectory-bytes"])
+def test_run_differences_fail(tmp_path, call, a, b, files, expected):
+    failures, changes = compare(tmp_path, call, a, b, files)
+    what = {"solve-lp": "solve-lp lp.yaml -o lp.csv --simplex", "verify": "verify all --seed 3"}
+    assert failures == [f"{what[call[0]]}: {expected}"] and changes == []
 
 
 def test_stderr_of_a_call_that_exits_0_may_differ(tmp_path):
@@ -68,25 +74,25 @@ def test_stderr_of_a_call_that_exits_0_may_differ(tmp_path):
 
 
 @pytest.mark.parametrize("lines, expected", [
-    (LINES[:1], "verify all --seed 3: 2 -> 1 lines"),
+    (LINES[:1], f"{LINES[1]} -> "),
     ([LINES[0], LINES[1].replace("isometry_absolute", "isometry_relative")],
-     "verify all --seed 3: label isometry_absolute -> isometry_relative"),
+     f"{LINES[1]} -> isometry_relative: max_error=1.110e-16 tolerance=1.0e-12 pass"),
     ([LINES[0].replace("tolerance=1.0e-13", "tolerance=2.0e-13"), LINES[1]],
-     "verify all --seed 3 qf_equals_4r_relative: tolerance 1.0e-13 -> 2.0e-13"),
+     f"{LINES[0]} -> qf_equals_4r_relative: max_error=1.324e-16 tolerance=2.0e-13 pass"),
     ([LINES[0], LINES[1].replace(" pass", " FAIL")],
-     "verify all --seed 3 isometry_absolute: pass -> FAIL"),
+     f"{LINES[1]} -> isometry_absolute: max_error=1.110e-16 tolerance=1.0e-12 FAIL"),
 ], ids=["line-count", "label", "tolerance", "verdict"])
 def test_verify_differences_fail(tmp_path, lines, expected):
+    """A line that differs in more than its max_error, or is missing, fails whole."""
     failures, changes = compare(tmp_path, VERIFY, verify_reply(LINES), verify_reply(lines))
-    assert failures == [expected] and changes == []
+    assert failures == [f"verify all --seed 3: {expected}"] and changes == []
 
 
 def test_changed_max_error_is_only_listed(tmp_path):
     lines = [LINES[0].replace("1.324e-16", "2.648e-16"), LINES[1]]
     failures, changes = compare(tmp_path, VERIFY, verify_reply(LINES), verify_reply(lines))
     assert failures == []
-    assert changes == [
-        "verify all --seed 3 qf_equals_4r_relative: max_error 1.324e-16 -> 2.648e-16"]
+    assert changes == [f"verify all --seed 3: {LINES[0]} -> {lines[0]}"]
 
 
 class FakeProcess:

@@ -58,7 +58,9 @@ def simplex_point_oracle(rng, m, mix=0.5):
 
 def simplex_tangent_oracle(rng, m):
     u = rng.standard_normal(m)
-    return u - u.mean()
+    u = u - u.mean()
+    u[-1] = -u[:-1].sum()
+    return u
 
 
 def density_oracle(rng, m, mix=0.5):

@@ -1,7 +1,8 @@
 """``benchmarks/record.py``: its workload list and run length, which are
-``BENCHMARK.json``'s, and its one verdict per workload and metric, on
+``BENCHMARK.json``'s, and its two verdicts per workload and metric, on
 hand-built runs of ten seeds: whether the later checkout stays within the
-metric's bound against the first."""
+metric's bound against the first, and whether the runs spread too widely to
+tell."""
 
 import json
 import sys
@@ -55,3 +56,20 @@ def test_a_run_outside_its_bound_on_one_seed_only_stays_within():
     """The bound is on the medians: one slow seed does not move it."""
     later = FIRST[:9] + [FIRST[9] * 0.5]
     assert within_bound(later) is True
+
+
+# runs_per_s on ten seeds with median 10.0 and quartiles 7.25-12.75: a middle
+# half of 5.5, wider than the 2.4 that a bound of 0.24 allows
+WIDE = [5.0, 6.0, 7.0, 8.0, 10.0, 10.0, 12.0, 13.0, 14.0, 15.0]
+
+
+@pytest.mark.parametrize("first, later, unresolved", [
+    (WIDE, WIDE, True),
+    (FIRST, WIDE, True),  # the later checkout's spread counts too
+    (WIDE, [x + 11.0 for x in WIDE], False),  # every later run beats every first run
+    (FIRST, FIRST, False),
+    ([x / 0.7 for x in WIDE], WIDE, False),  # outside the bound: not unresolved
+], ids=["both-wide", "later-wide", "later-beats-every-run", "narrow", "outside"])
+def test_unresolved_when_within_bound_but_the_spread_is_wider(first, later, unresolved):
+    spreads = record.spread(first), record.spread(later)
+    assert record.unresolved(*spreads, "higher", 0.24) is unresolved
