@@ -25,9 +25,9 @@ so the ratios show a change that drift between seeds hides in the medians;
 they are printed too.  Each such metric also gets two verdicts, stored and
 printed: ``within_bound``, its median is not behind the first checkout's by
 more than the metric's ``BENCHMARK.json`` bound; and ``unresolved``, it is
-within its bound but either checkout's runs spread too widely to tell (see
-``unresolved``).  A gain is claimed from a ``paired.py`` CI that leaves out
-1, not from these runs.
+within its bound but either checkout's runs spread too widely to tell.  A
+gain is claimed from a ``paired.py`` CI that leaves out 1, not from these
+runs.
 """
 
 from __future__ import annotations
